@@ -222,9 +222,16 @@ def _default_eigenvalues() -> np.ndarray:
     return qdyn.build_collapse_operator(pick)
 
 
-def cmd_simulate_lindblad(args) -> int:
+def _simulation_inputs(args) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse eigenvalues and initial pure state shared by both simulate modes."""
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     a = _parse_eigenvalues(args.eigenvalues) if args.eigenvalues else _default_eigenvalues()
-    psi0 = _initial_pure_state(args)
+    return a, _initial_pure_state(args)
+
+
+def cmd_simulate_lindblad(args) -> int:
+    a, psi0 = _simulation_inputs(args)
     rho0 = np.outer(psi0, psi0.conj())
     if args.t < 0:
         raise UsageError("--t must be non-negative")
@@ -251,8 +258,7 @@ def cmd_simulate_lindblad(args) -> int:
 
 
 def cmd_simulate_sde(args) -> int:
-    a = _parse_eigenvalues(args.eigenvalues) if args.eigenvalues else _default_eigenvalues()
-    psi0 = _initial_pure_state(args)
+    a, psi0 = _simulation_inputs(args)
     if args.trajectories <= 0:
         raise UsageError("--trajectories must be positive")
     if args.t <= 0:

@@ -18,6 +18,7 @@ exact minimizer set.  An independent lattice search cross-checks this.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,9 @@ import numpy as np
 from .errors import InfeasibleTable
 
 TOLERANCE = 1e-9
+# Largest lattice grid_oracle builds, (bound/g + 1)^3 points (6 MB of
+# coordinates), scanned once for each of the four pinned coordinates.
+MAX_LATTICE_POINTS = 250_000
 
 # Reference distance table for the swap dyad.  The collapse-operator
 # optimization and the `optimize` CLI default are defined on this table.
@@ -103,8 +107,11 @@ def validate_table(table) -> np.ndarray:
 
 def feasible(assignment: EigenAssignment, table, tol: float = TOLERANCE) -> bool:
     """True iff all eigenvalues are non-negative and every gap is satisfied."""
-    table = validate_table(table)
-    values = assignment.as_tuple()
+    return _feasible(assignment.as_tuple(), validate_table(table), tol)
+
+
+def _feasible(values, table: np.ndarray, tol: float) -> bool:
+    """:func:`feasible` for four values and an already validated table."""
     if any(v < -tol for v in values):
         return False
     for i in range(4):
@@ -134,7 +141,7 @@ def _greedy_completion(order, table) -> tuple:
 
 
 def _collect(points, table) -> OptimizationResult:
-    feas = [p for p in points if feasible(EigenAssignment.from_values(p), table)]
+    feas = [p for p in points if _feasible(p, table, TOLERANCE)]
     if not feas:
         raise InfeasibleTable("no assignment satisfies the gap constraints")
     best = min(sum(p) for p in feas)
@@ -166,16 +173,25 @@ def grid_oracle(table, granularity: float = 1.0, bound: float | None = None) -> 
 
     Scans {0, g, 2g, ..., bound}^4 with one coordinate pinned to zero (any
     minimizer has a zero eigenvalue, since subtracting the minimum preserves
-    feasibility and lowers the sum).
+    feasibility and lowers the sum).  Refuses lattices of more than
+    ``MAX_LATTICE_POINTS`` points before building them.
     """
     table = validate_table(table)
-    if granularity <= 0:
-        raise ValueError("granularity must be positive")
+    if not (math.isfinite(granularity) and granularity > 0):
+        raise ValueError("granularity must be finite and positive")
     min_bound = 3.0 * float(table.max())
     if bound is None:
         bound = min_bound
+    if not math.isfinite(bound):
+        raise ValueError("bound must be finite")
     if bound < min_bound:
         raise ValueError(f"bound must be at least 3x the largest entry ({min_bound})")
+    per_axis = (bound + granularity / 2) / granularity
+    if per_axis > MAX_LATTICE_POINTS ** (1 / 3):
+        raise ValueError(
+            f"granularity {granularity!r} on [0, {bound!r}] asks for a lattice of "
+            f"{per_axis:.3g}^3 points, more than {MAX_LATTICE_POINTS}; use a coarser granularity"
+        )
     axis = np.arange(0.0, bound + granularity / 2, granularity)
     points = set()
     free = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)

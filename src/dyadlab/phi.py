@@ -45,14 +45,6 @@ def noised_effect_prob(
     return hits / len(ALL_STATES)
 
 
-def _noised_cause_prob(tpm: Tpm2, unit: str, unit_state: int) -> float:
-    # probability of the unit's current value with its input link noised
-    partner = other_unit(unit)
-    return 0.5 * sum(
-        _cause_likelihood(tpm, unit, unit_state, partner, w) for w in (0, 1)
-    )
-
-
 def _effect_prob(tpm: Tpm2, unit: str, unit_state: int, target: str, target_state: int) -> float:
     # p(target at t+1 = target_state | unit at t0 = unit_state)
     matching = [s for s in ALL_STATES if s.value(unit) == unit_state]

@@ -9,7 +9,10 @@ Two complementary pictures of the same process:
   ``[A, [A, rho]]_ik = rho_ik (a_i - a_k)^2``, so with ``H = 0`` every
   off-diagonal element decays exponentially at rate
   ``(lam/2) (a_i - a_k)^2`` while populations stay put.  Integration is
-  fixed-step classical Runge-Kutta (RK4).
+  fixed-step classical Runge-Kutta (RK4).  The equation is linear, so one
+  RK4 step is a fixed 16x16 matrix, built once per run and raised to the
+  number of steps between samples.  A step outside RK4's stability region
+  is refused before integrating, with :class:`StepTooLarge`.
 
 * Trajectory picture.  A pure state follows the stochastic equation
   ``d(psi) = [-iH dt + sqrt(lam) (A - <A>) dW - (lam/2) (A - <A>)^2 dt] psi``
@@ -39,6 +42,9 @@ DIM = 4
 COHERENCE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 _GUARD_ATOL = 1e-6
+# R(0) = 1 exactly on the conserved modes, so a stable RK4 step has spectral
+# radius at most 1 up to the eigenvalue solver's round-off.
+_STABILITY_ATOL = 1e-10
 
 
 def validate_pure_state(psi, atol: float = 1e-10) -> np.ndarray:
@@ -132,17 +138,6 @@ def trace_distance(rho, sigma) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
 
 
-def _commutator(x, y):
-    return x @ y - y @ x
-
-
-def _lindblad_rhs(rho, h, a_mat, lam):
-    d = -0.5 * lam * _commutator(a_mat, _commutator(a_mat, rho))
-    if h is not None:
-        d = d - 1j * _commutator(h, rho)
-    return d
-
-
 def _check_guard(rho, where: str):
     trace_drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
     herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
@@ -155,11 +150,18 @@ def _check_guard(rho, where: str):
         )
 
 
+def _check_rate(lam: float) -> None:
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be finite and non-negative")
+
+
 def _time_grid(t: float, dt: float, sample_times) -> tuple[int, list[int], np.ndarray]:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t < 0:
-        raise ValueError("duration must be non-negative")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be finite and positive")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("duration must be finite and non-negative")
+    if not math.isfinite(t / dt):
+        raise ValueError(f"duration {t!r} is too many steps of dt={dt!r}")
     n_steps = int(round(t / dt))
     if sample_times is None:
         sample_times = [0.0, t] if n_steps > 0 else [0.0]
@@ -168,36 +170,86 @@ def _time_grid(t: float, dt: float, sample_times) -> tuple[int, list[int], np.nd
     return n_steps, steps, times
 
 
+def _superoperator(x: np.ndarray) -> np.ndarray:
+    """Matrix of rho -> [x, rho] acting on the row-major ``rho.reshape(16)``."""
+    eye = np.eye(DIM)
+    return np.kron(x, eye) - np.kron(eye, x.T)
+
+
+def _rk4_step_increment(h: np.ndarray, a: np.ndarray, lam: float, dt: float) -> np.ndarray:
+    """``S = T - I`` for the RK4 step ``T = sum_{k<=4} (dt L)^k / k!``.
+
+    ``L`` is the generator of the master equation on the row-major
+    ``rho.reshape(16)``.  Raises ``StepTooLarge`` when the spectral radius of
+    ``T`` exceeds 1 by more than round-off: repeated steps would then amplify
+    some mode of rho.
+    """
+    ad_a = _superoperator(np.diag(a))
+    eye = np.eye(DIM * DIM)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as radius inf
+        m = dt * (-0.5 * lam * (ad_a @ ad_a) - 1j * _superoperator(h))
+        inc = m @ (eye + m @ (eye + m @ (eye + m / 4.0) / 3.0) / 2.0)
+    radius = np.inf
+    if np.all(np.isfinite(inc)):
+        radius = float(np.max(np.abs(1.0 + np.linalg.eigvals(inc))))
+    if radius > 1.0 + _STABILITY_ATOL:
+        raise StepTooLarge(
+            f"RK4 step dt={dt:g} has spectral radius {radius:.6g} > 1, outside the "
+            "stability region for these eigenvalue gaps; reduce dt"
+        )
+    return inc
+
+
+def _increment_power(inc: np.ndarray, n: int) -> np.ndarray:
+    """``S_n`` with ``(I + S)^n = I + S_n``, by binary powering.
+
+    ``np.linalg.matrix_power(I + S, n)`` would round S against the identity
+    and repeat that error n times (about 1e-12 after 1e5 steps); carrying
+    ``S`` keeps the result to round-off.
+    """
+    out = np.zeros_like(inc)
+    while n:
+        if n & 1:
+            out = out + inc + out @ inc
+        n >>= 1
+        if n:
+            inc = 2.0 * inc + inc @ inc
+    return out
+
+
 def lindblad_path(rho0, h, a, lam: float, dt: float, sample_times) -> tuple[np.ndarray, list]:
     """Integrate the master equation, returning states at the sample times.
 
+    RK4 is applied as one precomputed 16x16 step matrix, raised to the number
+    of steps between consecutive samples (one power per distinct gap).
     Sample times snap to the nearest step of the fixed grid.  Raises
-    ``StepTooLarge`` when trace, Hermiticity, or positivity drift past 1e-6,
-    which signals an unstable step size for the given eigenvalue gaps.
+    ``StepTooLarge`` before integrating when the step lies outside RK4's
+    stability region (|dt lambda| <= ~2.785 on the negative real axis), and
+    at a sample when trace, Hermiticity, or positivity drift past 1e-6.
     """
-    rho = validate_density_matrix(rho0).copy()
+    rho = validate_density_matrix(rho0)
     a = build_collapse_operator(a)
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    a_mat = np.diag(a).astype(complex)
-    if h is not None:
-        h = np.asarray(h, dtype=complex)
-        if np.max(np.abs(h - h.conj().T)) > 1e-10:
-            raise ValueError("Hamiltonian must be Hermitian")
-    n_steps, steps, times = _time_grid(max(sample_times), dt, sample_times)
+    _check_rate(lam)
+    if h is None:
+        h = np.zeros((DIM, DIM), dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    if h.shape != (DIM, DIM) or np.max(np.abs(h - h.conj().T)) > 1e-10:
+        raise ValueError("Hamiltonian must be a Hermitian 4x4 matrix")
+    _, steps, times = _time_grid(max(sample_times), dt, sample_times)
+    inc = _rk4_step_increment(h, a, lam, dt)
+    powers = {}
+    vec = rho.reshape(DIM * DIM)
     out = []
-    targets = set(steps)
-    if 0 in targets:
-        out.append(rho.copy())
-    for step in range(n_steps):
-        k1 = _lindblad_rhs(rho, h, a_mat, lam)
-        k2 = _lindblad_rhs(rho + 0.5 * dt * k1, h, a_mat, lam)
-        k3 = _lindblad_rhs(rho + 0.5 * dt * k2, h, a_mat, lam)
-        k4 = _lindblad_rhs(rho + dt * k3, h, a_mat, lam)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step + 1 in targets:
-            _check_guard(rho, where=f"t={(step + 1) * dt:g}")
-            out.append(rho.copy())
+    done = 0
+    for target in steps:
+        gap = target - done
+        if gap:
+            if gap not in powers:
+                powers[gap] = _increment_power(inc, gap)
+            vec = vec + powers[gap] @ vec
+            _check_guard(vec.reshape(DIM, DIM), where=f"t={target * dt:g}")
+        out.append(vec.reshape(DIM, DIM).copy())
+        done = target
     return times, out
 
 
@@ -301,8 +353,7 @@ def sde_trajectory(
     """
     psi0 = validate_pure_state(psi0)
     a = build_collapse_operator(a)
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    _check_rate(lam)
     n_steps, steps, times = _time_grid(t, dt, sample_times)
     noise = _rng_for_seed(seed).standard_normal((1, n_steps))
     samples, final = _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, noise, steps)
@@ -340,8 +391,7 @@ def simulate_ensemble(
     a = build_collapse_operator(a)
     if n_trajectories <= 0:
         raise ValueError("n_trajectories must be positive")
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    _check_rate(lam)
     n_steps, steps, times = _time_grid(t, dt, sample_times)
     h_arr = None if h is None else np.asarray(h, dtype=complex)
     records: list[TrajectoryRecord] = []

@@ -164,6 +164,43 @@ def test_simulate_lindblad_unstable_step_exits_3(capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_simulate_lindblad_outside_stability_region_exits_3(capsys):
+    code = cli.main(
+        [
+            "simulate", "lindblad",
+            "--pair", "00", "01",
+            "--eigenvalues", "0,200,0,0",
+            "--dt", "1e-3",
+        ]
+    )
+    assert code == 3
+    assert "numerical guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "lindblad", "--t", "inf"],
+        ["simulate", "lindblad", "--t", "nan"],
+        ["simulate", "lindblad", "--dt", "inf"],
+        ["simulate", "lindblad", "--lambda", "nan"],
+        ["simulate", "lindblad", "--format", "csv", "--samples", "0"],
+        ["simulate", "lindblad", "--t", "1e300", "--dt", "1e-300"],
+        ["simulate", "sde", "--dt", "inf"],
+        ["simulate", "sde", "--t", "inf"],
+        ["simulate", "sde", "--lambda", "inf"],
+        ["optimize", "--oracle", "--granularity", "0.001"],
+        ["optimize", "--oracle", "--granularity", "nan"],
+    ],
+)
+def test_out_of_range_numbers_exit_2(argv, capsys):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_simulate_sde_single_trajectory_csv(capsys):
     code = cli.main(
         [

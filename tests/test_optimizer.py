@@ -152,6 +152,22 @@ def test_grid_oracle_bound_validation():
         optimizer.grid_oracle(SWAP_TABLE, granularity=0.0)
 
 
+def test_grid_oracle_refuses_huge_lattice_before_allocating(monkeypatch):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("lattice built before its size was checked")
+
+    monkeypatch.setattr(np, "arange", no_lattice)
+    monkeypatch.setattr(np, "meshgrid", no_lattice)
+    for granularity in (1e-3, 1e-110, 1e-320):
+        with pytest.raises(ValueError, match=f"granularity {granularity!r}"):
+            optimizer.grid_oracle(SWAP_TABLE, granularity=granularity)
+    for granularity in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="granularity"):
+            optimizer.grid_oracle(SWAP_TABLE, granularity=granularity)
+    with pytest.raises(ValueError, match="bound"):
+        optimizer.grid_oracle(SWAP_TABLE, granularity=1.0, bound=float("inf"))
+
+
 def test_solve_matches_oracle_on_random_integer_tables(rng):
     for _ in range(24):
         entries = rng.integers(0, 7, size=6)

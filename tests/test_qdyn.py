@@ -132,6 +132,64 @@ def test_lindblad_with_hamiltonian_keeps_invariants():
     qdyn.validate_density_matrix(rho)
 
 
+def _rk4_reference(rho, h, a, lam, dt, n_steps):
+    """Classical RK4, one step at a time, on the master equation."""
+    a_mat = np.diag(np.asarray(a, dtype=complex))
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    def rhs(r):
+        return -0.5 * lam * comm(a_mat, comm(a_mat, r)) - 1j * comm(h, r)
+
+    for _ in range(n_steps):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * dt * k1)
+        k3 = rhs(rho + 0.5 * dt * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
+
+
+@pytest.mark.parametrize("dt, t", [(2e-3, 1.0), (0.15, 3.0), (1e-9, 1.0)])
+def test_lindblad_matches_rk4_closed_form_without_hamiltonian(dt, t):
+    # each entry is scaled by the RK4 stability polynomial R(z) per step,
+    # z = -rate dt; dt = 0.15 puts the fastest rate at z = -2.7, near the
+    # stability edge, and dt = 1e-9 takes 1e9 steps
+    rho0 = _projector(np.ones(4, dtype=complex) / 2.0)
+    a = qdyn.build_collapse_operator(A_REF)
+    lam = 1.0
+    times, states = qdyn.lindblad_path(rho0, None, a, lam, dt, np.linspace(0.0, t, 6))
+    for time, rho in zip(times, states):
+        n = round(time / dt)
+        for i in range(4):
+            for k in range(4):
+                z = -0.5 * lam * (a[i] - a[k]) ** 2 * dt
+                decay = math.exp(n * math.log1p(z + z * z / 2 + z**3 / 6 + z**4 / 24))
+                assert abs(rho[i, k] - rho0[i, k] * decay) <= 1e-12
+
+
+@pytest.mark.parametrize("dt, t", [(1e-3, 0.5), (0.05, 1.0)])
+def test_lindblad_with_hamiltonian_matches_stepwise_rk4(dt, t):
+    h = qdyn.swap_hamiltonian()
+    rho0 = _projector(qdyn.basis_superposition(0, 1))
+    sample_times = [t / 2, t]
+    times, states = qdyn.lindblad_path(rho0, h, A_REF, 1.0, dt, sample_times)
+    for time, rho in zip(times, states):
+        expected = _rk4_reference(rho0, h, A_REF, 1.0, dt, round(time / dt))
+        assert np.max(np.abs(rho - expected)) <= 1e-12
+
+
+def test_lindblad_refuses_unstable_step_before_integrating():
+    # fastest rate (lam/2)(0 - 6)^2 = 18; RK4 is stable for dt * 18 <= ~2.785
+    rho0 = _projector(np.ones(4, dtype=complex) / 2.0)
+    qdyn.lindblad_path(rho0, None, A_REF, 1.0, 2.78 / 18.0, [1.0])
+    with pytest.raises(StepTooLarge, match="spectral radius"):
+        qdyn.lindblad_path(rho0, None, A_REF, 1.0, 2.79 / 18.0, [1.0])
+    with pytest.raises(StepTooLarge, match="spectral radius"):
+        qdyn.lindblad_path(rho0, None, (0.0, 200.0, 0.0, 0.0), 1.0, 1e-3, [1.0])
+
+
 def test_lindblad_step_too_large_guard():
     psi = np.ones(4, dtype=complex) / 2.0
     with pytest.raises(StepTooLarge):
