@@ -263,25 +263,9 @@ def cmd_simulate_sde(args) -> int:
         raise UsageError("--trajectories must be positive")
     if args.t <= 0:
         raise UsageError("--t must be positive")
-    if args.trajectories == 1 and args.format == "csv":
-        sample_times = np.linspace(0.0, args.t, args.samples)
-        record = qdyn.sde_trajectory(
-            psi0,
-            None,
-            a,
-            args.lam,
-            args.dt,
-            args.t,
-            seed=qdyn.derive_trajectory_seed(args.seed, 0),
-            sample_times=sample_times,
-            collapse_threshold=args.threshold,
-        )
-        rows = [
-            _csv_row(t, np.outer(psi, psi.conj()))
-            for t, psi in zip(record.times, record.states)
-        ]
-        _emit(_csv_text(rows), args.output)
-        return 0
+    csv = args.format == "csv"
+    if csv and args.trajectories != 1:
+        raise UsageError("--format csv needs --trajectories 1")
     records = qdyn.simulate_ensemble(
         psi0,
         None,
@@ -291,9 +275,17 @@ def cmd_simulate_sde(args) -> int:
         args.t,
         n_trajectories=args.trajectories,
         seed=args.seed,
-        sample_times=[args.t],
+        sample_times=np.linspace(0.0, args.t, args.samples) if csv else [args.t],
         collapse_threshold=args.threshold,
     )
+    if csv:
+        record = records[0]
+        rows = [
+            _csv_row(t, np.outer(psi, psi.conj()))
+            for t, psi in zip(record.times, record.states)
+        ]
+        _emit(_csv_text(rows), args.output)
+        return 0
     counts = {label: 0 for label in model.STATE_LABELS}
     none_count = 0
     for rec in records:

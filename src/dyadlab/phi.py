@@ -41,28 +41,18 @@ def noised_effect_prob(
             f"target unit {target_unit} reads {tpm.dependency(target_unit)!r}, "
             f"not {source_unit}"
         )
-    hits = sum(tpm.apply(s).value(target_unit) == target_state for s in ALL_STATES)
-    return hits / len(ALL_STATES)
+    return _transition_prob(tpm, target_unit, target_state)
 
 
-def _effect_prob(tpm: Tpm2, unit: str, unit_state: int, target: str, target_state: int) -> float:
-    # p(target at t+1 = target_state | unit at t0 = unit_state)
-    matching = [s for s in ALL_STATES if s.value(unit) == unit_state]
+def _transition_prob(tpm: Tpm2, target: str, target_state: int, given=None) -> float:
+    """p(``target`` = ``target_state`` one step later), uniform over the earlier state.
+
+    ``given`` is an optional ``(unit, value)`` pair that fixes one unit of
+    the earlier state.
+    """
+    matching = [s for s in ALL_STATES if given is None or s.value(given[0]) == given[1]]
     hits = sum(tpm.apply(s).value(target) == target_state for s in matching)
     return hits / len(matching)
-
-
-def _cause_likelihood(tpm: Tpm2, unit: str, unit_state: int, partner: str, partner_past: int) -> float:
-    # p(unit at t0 = unit_state | partner at t-1 = partner_past)
-    matching = [s for s in ALL_STATES if s.value(partner) == partner_past]
-    hits = sum(tpm.apply(s).value(unit) == unit_state for s in matching)
-    return hits / len(matching)
-
-
-def _marginal(tpm: Tpm2, unit: str, unit_state: int) -> float:
-    # unconstrained probability of the unit's current value (uniform past)
-    hits = sum(tpm.apply(s).value(unit) == unit_state for s in ALL_STATES)
-    return hits / len(ALL_STATES)
 
 
 def _effect_detail(tpm: Tpm2, unit: str, state: DyadState) -> tuple[float, int]:
@@ -72,14 +62,14 @@ def _effect_detail(tpm: Tpm2, unit: str, state: DyadState) -> tuple[float, int]:
             f"unit {partner} does not read {unit}; {unit} carries no effect information"
         )
     realized = tpm.apply(state).value(partner)
-    p = _effect_prob(tpm, unit, state.value(unit), partner, realized)
+    p = _transition_prob(tpm, partner, realized, given=(unit, state.value(unit)))
     p_noise = noised_effect_prob(tpm, unit, state.value(unit), partner, realized)
     return _information(p, p_noise), realized
 
 
 def _cause_detail(tpm: Tpm2, unit: str, state: DyadState) -> tuple[float, int]:
     unit_state = state.value(unit)
-    marginal = _marginal(tpm, unit, unit_state)
+    marginal = _transition_prob(tpm, unit, unit_state)
     if marginal == 0.0:
         raise ZeroMarginal(
             f"state {unit}={unit_state} is unreachable under this transition rule"
@@ -89,7 +79,7 @@ def _cause_detail(tpm: Tpm2, unit: str, state: DyadState) -> tuple[float, int]:
         raise NotCrossCoupled(
             f"unit {unit} does not read {partner}; {unit} carries no cause information"
         )
-    likelihood = {w: _cause_likelihood(tpm, unit, unit_state, partner, w) for w in (0, 1)}
+    likelihood = {w: _transition_prob(tpm, unit, unit_state, given=(partner, w)) for w in (0, 1)}
     noised = 0.5 * likelihood[0] + 0.5 * likelihood[1]
     # Bayes posterior over the partner's previous value, uniform prior 0.5;
     # the denominator equals the noised probability for single-reader rules.

@@ -17,29 +17,35 @@ Two complementary pictures of the same process:
 * Trajectory picture.  A pure state follows the stochastic equation
   ``d(psi) = [-iH dt + sqrt(lam) (A - <A>) dW - (lam/2) (A - <A>)^2 dt] psi``
   with a standard Wiener increment ``dW ~ Normal(0, dt)``, integrated by
-  Euler-Maruyama with renormalization after every step.  Averaging the
-  projectors of many trajectories reproduces the ensemble picture.
+  Euler-Maruyama with renormalization after every step.  A step with
+  ``(lam/2) dt (max a - min a)^2 >= 1`` is refused before any noise is drawn,
+  with :class:`StepTooLarge`.  Averaging the projectors of many trajectories
+  reproduces the ensemble picture.
 
 Randomness is counter-based: a single master seed splits into independent
-per-trajectory streams, so trajectory ``i`` is reproducible regardless of
-how many trajectories are run or how they are batched.  Trajectories are
-independent given distinct seeds and may run concurrently; ensemble
-averaging is an order-independent reduction over immutable records.
+per-trajectory streams.  Single runs and ensembles share one engine whose
+arithmetic does not depend on the batch, so trajectory ``i`` is reproducible
+bitwise regardless of how many trajectories are run.  Ensemble averaging is
+an order-independent reduction over immutable records.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridMismatch, StepTooLarge
+from .model import Tpm2
 from .model import swap as _swap_rule
 from .optimizer import EigenAssignment
 
 DIM = 4
 COHERENCE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# Trajectories integrated together; bounds the noise array at _BATCH x n_steps.
+_BATCH = 1000
 
 _GUARD_ATOL = 1e-6
 # R(0) = 1 exactly on the conserved modes, so a stable RK4 step has spectral
@@ -62,13 +68,15 @@ def validate_density_matrix(
     herm_atol: float = 1e-10,
     trace_atol: float = 1e-10,
     psd_atol: float = 1e-8,
+    dim: int = DIM,
 ) -> np.ndarray:
+    """``rho`` as a complex ``dim`` x ``dim`` density matrix, or ValueError."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (DIM, DIM):
-        raise ValueError(f"density matrix must be {DIM}x{DIM}, got shape {rho.shape}")
+    if rho.shape != (dim, dim):
+        raise ValueError(f"density matrix must be {dim}x{dim}, got shape {rho.shape}")
     if np.max(np.abs(rho - rho.conj().T)) > herm_atol:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > trace_atol or abs(np.trace(rho).imag) > trace_atol:
+    if abs(np.trace(rho) - 1.0) > trace_atol:
         raise ValueError("density matrix trace is not 1 within tolerance")
     if np.min(np.linalg.eigvalsh(rho)) < -psd_atol:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
@@ -112,13 +120,19 @@ def basis_superposition(i: int, k: int) -> np.ndarray:
     return psi
 
 
+def permutation_unitary(tpm: Tpm2) -> np.ndarray:
+    """Unitary ``|s> -> |tpm(s)>`` of a bijective rule on the computational basis."""
+    if not tpm.is_bijective:
+        raise ValueError("only bijective rules define a permutation unitary")
+    u = np.zeros((DIM, DIM), dtype=complex)
+    for idx in range(DIM):
+        u[tpm.outputs[idx], idx] = 1.0
+    return u
+
+
 def swap_hamiltonian() -> np.ndarray:
     """Hermitian generator whose unit-time evolution is exactly the swap gate."""
-    perm = np.zeros((DIM, DIM))
-    rule = _swap_rule()
-    for idx in range(DIM):
-        perm[rule.outputs[idx], idx] = 1.0
-    return 0.5 * math.pi * (np.eye(DIM) - perm)
+    return 0.5 * math.pi * (np.eye(DIM) - permutation_unitary(_swap_rule()).real)
 
 
 def state_populations(psi) -> np.ndarray:
@@ -153,6 +167,16 @@ def _check_guard(rho, where: str):
 def _check_rate(lam: float) -> None:
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lam must be finite and non-negative")
+
+
+def _check_hamiltonian(h) -> np.ndarray | None:
+    """``h`` as a complex Hermitian 4x4 matrix; None stands for no Hamiltonian."""
+    if h is None:
+        return None
+    h = np.asarray(h, dtype=complex)
+    if h.shape != (DIM, DIM) or np.max(np.abs(h - h.conj().T)) > 1e-10:
+        raise ValueError("Hamiltonian must be a Hermitian 4x4 matrix")
+    return h
 
 
 def _time_grid(t: float, dt: float, sample_times) -> tuple[int, list[int], np.ndarray]:
@@ -230,11 +254,9 @@ def lindblad_path(rho0, h, a, lam: float, dt: float, sample_times) -> tuple[np.n
     rho = validate_density_matrix(rho0)
     a = build_collapse_operator(a)
     _check_rate(lam)
+    h = _check_hamiltonian(h)
     if h is None:
         h = np.zeros((DIM, DIM), dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (DIM, DIM) or np.max(np.abs(h - h.conj().T)) > 1e-10:
-        raise ValueError("Hamiltonian must be a Hermitian 4x4 matrix")
     _, steps, times = _time_grid(max(sample_times), dt, sample_times)
     inc = _rk4_step_increment(h, a, lam, dt)
     powers = {}
@@ -303,8 +325,14 @@ def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, noise, sample_steps):
     ensemble members agree bitwise.
     """
     batch = noise.shape[0]
+    if batch == 1:
+        # numpy rounds a one-row ``p @ a`` differently from the same row in a larger batch.
+        samples, psi = _evolve_sde_batch(
+            psi0, h, a, lam, dt, n_steps, np.repeat(noise, 2, axis=0), sample_steps
+        )
+        return samples[:1], psi[:1]
     psi = np.tile(psi0, (batch, 1)).astype(complex)
-    h_t = None if h is None else np.asarray(h, dtype=complex).T
+    h_t = None if h is None else h.T
     sqrt_dt = math.sqrt(dt)
     sqrt_lam = math.sqrt(lam)
     out = np.empty((batch, len(sample_steps), DIM), dtype=complex)
@@ -335,6 +363,54 @@ def _collapse_outcome(psi, threshold: float) -> int | None:
     return winner if pops[winner] >= threshold else None
 
 
+def _trajectories(
+    psi0, h, a, lam, dt, t, seeds, sample_times, collapse_threshold
+) -> list[TrajectoryRecord]:
+    """Integrate one trajectory per stream key in ``seeds``, ``_BATCH`` at a time.
+
+    Every input is validated, and the step checked, before the first key is
+    taken from ``seeds``, so a lazy iterable derives no key for a refused run.
+    """
+    psi0 = validate_pure_state(psi0)
+    a = build_collapse_operator(a)
+    h = _check_hamiltonian(h)
+    _check_rate(lam)
+    if not (math.isfinite(collapse_threshold) and 0.0 < collapse_threshold <= 1.0):
+        raise ValueError("collapse threshold must be finite and in (0, 1]")
+    n_steps, steps, times = _time_grid(t, dt, sample_times)
+    # |a_i - <A>| <= gap, so the drift factor 1 - (lam/2) dt (a_i - <A>)^2 stays
+    # positive below this bound; past it a step flips the sign of amplitudes
+    gap = float(a.max() - a.min())
+    margin = 0.5 * lam * dt * (gap * gap)
+    if margin >= 1.0:
+        raise StepTooLarge(
+            f"Euler-Maruyama step dt={dt:g} makes (lam/2) dt gap^2 = {margin:.6g} >= 1 "
+            f"for eigenvalue gap {gap:g}, so the drift factor is not positive; reduce dt"
+        )
+    eigenvalues = tuple(a.tolist())
+    records: list[TrajectoryRecord] = []
+    seeds = iter(seeds)
+    while batch := list(itertools.islice(seeds, _BATCH)):
+        noise = np.empty((len(batch), n_steps))
+        for row, s in enumerate(batch):
+            noise[row] = _rng_for_seed(s).standard_normal(n_steps)
+        samples, finals = _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, noise, steps)
+        records.extend(
+            TrajectoryRecord(
+                seed=s,
+                times=times,
+                states=samples[row],
+                outcome=_collapse_outcome(finals[row], collapse_threshold),
+                eigenvalues=eigenvalues,
+                lam=float(lam),
+                dt=float(dt),
+                hamiltonian=h,
+            )
+            for row, s in enumerate(batch)
+        )
+    return records
+
+
 def sde_trajectory(
     psi0,
     h,
@@ -351,22 +427,7 @@ def sde_trajectory(
     Deterministic given (seed, dt): rerunning with the same arguments
     reproduces every sampled state bitwise.
     """
-    psi0 = validate_pure_state(psi0)
-    a = build_collapse_operator(a)
-    _check_rate(lam)
-    n_steps, steps, times = _time_grid(t, dt, sample_times)
-    noise = _rng_for_seed(seed).standard_normal((1, n_steps))
-    samples, final = _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, noise, steps)
-    return TrajectoryRecord(
-        seed=seed,
-        times=times,
-        states=samples[0],
-        outcome=_collapse_outcome(final[0], collapse_threshold),
-        eigenvalues=tuple(a.tolist()),
-        lam=float(lam),
-        dt=float(dt),
-        hamiltonian=None if h is None else np.asarray(h, dtype=complex),
-    )
+    return _trajectories(psi0, h, a, lam, dt, t, [seed], sample_times, collapse_threshold)[0]
 
 
 def simulate_ensemble(
@@ -380,42 +441,17 @@ def simulate_ensemble(
     seed: int = 0,
     sample_times=None,
     collapse_threshold: float = 0.99,
-    batch_size: int = 1000,
-) -> list:
+) -> list[TrajectoryRecord]:
     """Run many independent trajectories from one master seed.
 
     Trajectory ``i`` uses the stream ``derive_trajectory_seed(seed, i)``, so
-    results are independent of ``batch_size`` and ``n_trajectories``.
+    its record does not depend on ``n_trajectories`` and equals
+    ``sde_trajectory`` run with that key, bitwise.
     """
-    psi0 = validate_pure_state(psi0)
-    a = build_collapse_operator(a)
     if n_trajectories <= 0:
         raise ValueError("n_trajectories must be positive")
-    _check_rate(lam)
-    n_steps, steps, times = _time_grid(t, dt, sample_times)
-    h_arr = None if h is None else np.asarray(h, dtype=complex)
-    records: list[TrajectoryRecord] = []
-    for start in range(0, n_trajectories, batch_size):
-        indices = range(start, min(start + batch_size, n_trajectories))
-        seeds = [derive_trajectory_seed(seed, i) for i in indices]
-        noise = np.empty((len(seeds), n_steps))
-        for row, s in enumerate(seeds):
-            noise[row] = _rng_for_seed(s).standard_normal(n_steps)
-        samples, finals = _evolve_sde_batch(psi0, h_arr, a, lam, dt, n_steps, noise, steps)
-        for row, s in enumerate(seeds):
-            records.append(
-                TrajectoryRecord(
-                    seed=s,
-                    times=times,
-                    states=samples[row],
-                    outcome=_collapse_outcome(finals[row], collapse_threshold),
-                    eigenvalues=tuple(a.tolist()),
-                    lam=float(lam),
-                    dt=float(dt),
-                    hamiltonian=h_arr,
-                )
-            )
-    return records
+    seeds = (derive_trajectory_seed(seed, i) for i in range(n_trajectories))
+    return _trajectories(psi0, h, a, lam, dt, t, seeds, sample_times, collapse_threshold)
 
 
 def _same_grid(r1: TrajectoryRecord, r2: TrajectoryRecord) -> bool:

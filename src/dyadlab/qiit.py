@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfiniteDivergence, NotUnitary, UnsupportedState
-from .model import UNIT_A, UNIT_B, Tpm2
+from .model import UNIT_A, UNIT_B
 from .model import swap as _swap_rule
-from .qdyn import validate_density_matrix
+from .qdyn import DIM, permutation_unitary, validate_density_matrix
 
 _EIG_TOL = 1e-12
 _SUPPORT_ATOL = 1e-10
@@ -32,26 +32,6 @@ _SUPPORT_ATOL = 1e-10
 
 def maximally_mixed(dim: int = 2) -> np.ndarray:
     return np.eye(dim, dtype=complex) / dim
-
-
-def _validate_qubit_density(rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError("qubit density matrix must be 2x2")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > 1e-10:
-        raise ValueError("density matrix trace is not 1 within tolerance")
-    if np.min(np.linalg.eigvalsh(rho)) < -1e-8:
-        raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
-    return rho
-
-
-def _validate_density(rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape == (2, 2):
-        return _validate_qubit_density(rho)
-    return validate_density_matrix(rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +46,8 @@ class SpectralEnsemble:
 
 
 def spectral_ensemble(rho, tol: float = _EIG_TOL) -> SpectralEnsemble:
-    """Spectral decomposition of a density operator, zero modes dropped."""
-    rho = _validate_density(rho)
+    """Spectral decomposition of a qubit or dyad density operator, zero modes dropped."""
+    rho = validate_density_matrix(rho, dim=2 if np.shape(rho) == (2, 2) else DIM)
     w, v = np.linalg.eigh(rho)
     keep = w > tol
     return SpectralEnsemble(probs=w[keep], states=v[:, keep].T.copy())
@@ -115,15 +95,6 @@ def qid(rho, sigma) -> float:
 def swap_unitary() -> np.ndarray:
     """Permutation unitary of the swap rule on the computational basis."""
     return permutation_unitary(_swap_rule())
-
-
-def permutation_unitary(tpm: Tpm2) -> np.ndarray:
-    if not tpm.is_bijective:
-        raise ValueError("only bijective rules define a permutation unitary")
-    u = np.zeros((4, 4), dtype=complex)
-    for idx in range(4):
-        u[tpm.outputs[idx], idx] = 1.0
-    return u
 
 
 def unitary_step(rho, u) -> np.ndarray:

@@ -165,16 +165,18 @@ def test_simulate_lindblad_unstable_step_exits_3(capsys):
 
 
 def test_simulate_lindblad_outside_stability_region_exits_3(capsys):
-    code = cli.main(
-        [
-            "simulate", "lindblad",
-            "--pair", "00", "01",
-            "--eigenvalues", "0,200,0,0",
-            "--dt", "1e-3",
-        ]
-    )
-    assert code == 3
-    assert "numerical guard" in capsys.readouterr().err
+    # RK4's stability region for lindblad, a positive drift factor for sde
+    for mode in ("lindblad", "sde"):
+        code = cli.main(
+            [
+                "simulate", mode,
+                "--pair", "00", "01",
+                "--eigenvalues", "0,200,0,0",
+                "--dt", "1e-3",
+            ]
+        )
+        assert code == 3
+        assert "numerical guard" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -191,6 +193,10 @@ def test_simulate_lindblad_outside_stability_region_exits_3(capsys):
         ["simulate", "sde", "--lambda", "inf"],
         ["optimize", "--oracle", "--granularity", "0.001"],
         ["optimize", "--oracle", "--granularity", "nan"],
+        ["simulate", "sde", "--threshold", "5"],
+        ["simulate", "sde", "--threshold", "nan"],
+        ["simulate", "sde", "--threshold", "0"],
+        ["simulate", "sde", "--trajectories", "3", "--format", "csv"],
     ],
 )
 def test_out_of_range_numbers_exit_2(argv, capsys):

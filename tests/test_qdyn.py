@@ -49,7 +49,9 @@ def test_swap_hamiltonian_generates_the_swap_gate():
 
     from dyadlab import qiit
 
-    u = expm(-1j * qdyn.swap_hamiltonian())
+    h = qdyn.swap_hamiltonian()
+    assert h.dtype == np.float64
+    u = expm(-1j * h)
     assert np.allclose(u, qiit.swap_unitary(), atol=1e-12)
 
 
@@ -233,15 +235,45 @@ def test_sde_states_stay_normalized():
 
 
 def test_ensemble_members_match_individual_runs_bitwise():
-    psi = qdyn.basis_superposition(0, 1)
-    records = qdyn.simulate_ensemble(
-        psi, None, A_REF, 1.0, 1e-3, 0.3, n_trajectories=7, seed=42, batch_size=3
-    )
-    for i in (0, 4, 6):
+    # from the uniform state all four amplitudes enter <A>; member _BATCH runs
+    # alone in the second batch
+    psi = np.ones(4, dtype=complex) / 2.0
+    h = qdyn.swap_hamiltonian()
+    n = qdyn._BATCH + 1
+    records = qdyn.simulate_ensemble(psi, h, A_REF, 1.0, 1e-3, 0.1, n_trajectories=n, seed=42)
+    assert len(records) == n
+    for i in (0, qdyn._BATCH - 1, qdyn._BATCH):
         solo = qdyn.sde_trajectory(
-            psi, None, A_REF, 1.0, 1e-3, 0.3, seed=qdyn.derive_trajectory_seed(42, i)
+            psi, h, A_REF, 1.0, 1e-3, 0.1, seed=qdyn.derive_trajectory_seed(42, i)
         )
+        assert records[i].seed == solo.seed
         assert np.array_equal(records[i].states, solo.states)
+
+
+def test_sde_refuses_step_with_nonpositive_drift_factor():
+    # (lam/2) dt gap^2 = 1 at gap sqrt(2000) ~ 44.72 for lam = 1, dt = 1e-3
+    psi = qdyn.basis_superposition(0, 1)
+    rec = qdyn.sde_trajectory(psi, None, (0.0, 44.7, 0.0, 0.0), 1.0, 1e-3, 0.05, seed=1)
+    assert np.allclose(np.linalg.norm(rec.states, axis=1), 1.0, atol=1e-12)
+    for a in ((0.0, 44.73, 0.0, 0.0), (0.0, 200.0, 0.0, 0.0)):
+        with pytest.raises(StepTooLarge, match="drift factor"):
+            qdyn.sde_trajectory(psi, None, a, 1.0, 1e-3, 0.05, seed=1)
+        with pytest.raises(StepTooLarge, match="drift factor"):
+            qdyn.simulate_ensemble(psi, None, a, 1.0, 1e-3, 0.05, n_trajectories=3)
+
+
+@pytest.mark.parametrize("h", [np.triu(np.ones((4, 4))), np.eye(3)], ids=["non_hermitian", "3x3"])
+def test_sde_rejects_invalid_hamiltonian(h, monkeypatch):
+    psi = qdyn.basis_superposition(0, 1)
+    with pytest.raises(ValueError, match="Hermitian 4x4"):
+        qdyn.sde_trajectory(psi, h, A_REF, 1.0, 1e-3, 0.1, seed=1)
+
+    def no_seeds(master, index):
+        raise AssertionError("a seed was derived before the inputs were validated")
+
+    monkeypatch.setattr(qdyn, "derive_trajectory_seed", no_seeds)
+    with pytest.raises(ValueError, match="Hermitian 4x4"):
+        qdyn.simulate_ensemble(psi, h, A_REF, 1.0, 1e-3, 0.1, n_trajectories=3)
 
 
 def test_trajectory_seeds_do_not_depend_on_count():
@@ -345,3 +377,18 @@ def test_validate_density_matrix():
     bad[0, 1] = 0.5
     with pytest.raises(ValueError):
         qdyn.validate_density_matrix(bad)
+    qubit = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
+    assert np.array_equal(qdyn.validate_density_matrix(qubit, dim=2), qubit)
+    with pytest.raises(ValueError, match="Hermitian"):
+        qdyn.validate_density_matrix(np.array([[0.5, 0.25], [0.0, 0.5]]), dim=2)
+    with pytest.raises(ValueError, match="trace"):
+        qdyn.validate_density_matrix(np.eye(2), dim=2)
+    # real and imaginary parts of the trace each within 1e-10, its distance from 1 not
+    with pytest.raises(ValueError, match="trace"):
+        qdyn.validate_density_matrix(np.diag([0.5 + 8e-11 + 4e-11j, 0.5 + 4e-11j]), dim=2)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        qdyn.validate_density_matrix(np.diag([1.5, -0.5]), dim=2)
+    with pytest.raises(ValueError, match="must be 4x4"):
+        qdyn.validate_density_matrix(qubit)
+    with pytest.raises(ValueError, match="must be 2x2"):
+        qdyn.validate_density_matrix(np.eye(4) / 4.0, dim=2)
