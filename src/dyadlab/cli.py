@@ -230,12 +230,29 @@ def _simulation_inputs(args) -> tuple[np.ndarray, np.ndarray]:
     return a, _initial_pure_state(args)
 
 
+def _csv_sample_times(t: float, dt: float, samples: int):
+    """``linspace(0, t, samples)``, or the step grid itself when that is no coarser.
+
+    Sample times snap to the nearest of the ``round(t/dt) + 1`` grid steps, so
+    once ``samples - 1 >= t/dt`` every step is a sample and a finer linspace
+    would only repeat rows.
+    """
+    if not (math.isfinite(t) and math.isfinite(dt) and dt > 0):
+        return [t]  # no grid to sample; the engine names the bad value
+    if samples - 1 >= t / dt:
+        return np.arange(round(t / dt) + 1) * dt
+    return np.linspace(0.0, t, samples)
+
+
 def cmd_simulate_lindblad(args) -> int:
     a, psi0 = _simulation_inputs(args)
     rho0 = np.outer(psi0, psi0.conj())
     if args.t < 0:
         raise UsageError("--t must be non-negative")
-    sample_times = np.linspace(0.0, args.t, args.samples) if args.format == "csv" else [args.t]
+    if args.format == "csv":
+        sample_times = _csv_sample_times(args.t, args.dt, args.samples)
+    else:
+        sample_times = [args.t]
     times, states = qdyn.lindblad_path(rho0, None, a, args.lam, args.dt, sample_times)
     if args.format == "csv":
         text = _csv_text(_csv_row(t, rho) for t, rho in zip(times, states))
@@ -275,7 +292,7 @@ def cmd_simulate_sde(args) -> int:
         args.t,
         n_trajectories=args.trajectories,
         seed=args.seed,
-        sample_times=np.linspace(0.0, args.t, args.samples) if csv else [args.t],
+        sample_times=_csv_sample_times(args.t, args.dt, args.samples) if csv else [args.t],
         collapse_threshold=args.threshold,
     )
     if csv:

@@ -23,16 +23,25 @@ Two complementary pictures of the same process:
   reproduces the ensemble picture.
 
 Randomness is counter-based: a single master seed splits into independent
-per-trajectory streams.  Single runs and ensembles share one engine whose
-arithmetic does not depend on the batch, so trajectory ``i`` is reproducible
-bitwise regardless of how many trajectories are run.  Ensemble averaging is
-an order-independent reduction over immutable records.
+per-trajectory streams.  Member ``i`` of an ensemble draws its normals from
+the Philox stream keyed by ``SeedSequence(entropy=master, spawn_key=(i,))``,
+a hash that :func:`derive_trajectory_seed` evaluates over a whole batch of
+indices at once.  Single runs and ensembles share one engine: it integrates
+up to ``_BATCH`` trajectories together, re-keys one Philox generator per
+trajectory instead of building one, and draws the noise ``_NOISE_CHUNK``
+steps at a time, so noise memory is ``_BATCH x _NOISE_CHUNK`` floats however
+long the run.  Its arithmetic does not depend on the batch or the chunking,
+so trajectory ``i`` is reproducible bitwise regardless of how many
+trajectories are run.  An SDE run of more than ``MAX_SDE_STEPS`` steps is
+refused with ValueError.  Ensemble averaging is an order-independent
+reduction over immutable records.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +53,12 @@ from .optimizer import EigenAssignment
 
 DIM = 4
 COHERENCE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# Trajectories integrated together; bounds the noise array at _BATCH x n_steps.
+# Trajectories integrated together, and steps of noise drawn per trajectory at
+# a time: the noise block holds _BATCH x _NOISE_CHUNK floats (8 MB).
 _BATCH = 1000
+_NOISE_CHUNK = 1024
+# Steps per SDE trajectory; one trajectory of this many takes hours.
+MAX_SDE_STEPS = 10**9
 
 _GUARD_ATOL = 1e-6
 # R(0) = 1 exactly on the conserved modes, so a stable RK4 step has spectral
@@ -179,7 +192,10 @@ def _check_hamiltonian(h) -> np.ndarray | None:
     return h
 
 
-def _time_grid(t: float, dt: float, sample_times) -> tuple[int, list[int], np.ndarray]:
+def _time_grid(
+    t: float, dt: float, sample_times, max_steps: int | None = None
+) -> tuple[int, list[int], np.ndarray]:
+    t, dt = float(t), float(dt)  # Python floats overflow t / dt to inf without a warning
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be finite and positive")
     if not (math.isfinite(t) and t >= 0):
@@ -187,11 +203,21 @@ def _time_grid(t: float, dt: float, sample_times) -> tuple[int, list[int], np.nd
     if not math.isfinite(t / dt):
         raise ValueError(f"duration {t!r} is too many steps of dt={dt!r}")
     n_steps = int(round(t / dt))
+    if max_steps is not None and n_steps > max_steps:  # before snapping any sample time
+        raise ValueError(
+            f"duration {t!r} is {n_steps:.3g} steps of dt={dt!r}, more than the "
+            f"{max_steps:.0e} allowed"
+        )
     if sample_times is None:
         sample_times = [0.0, t] if n_steps > 0 else [0.0]
-    steps = sorted({min(max(int(round(float(s) / dt)), 0), n_steps) for s in sample_times})
-    times = np.array([s * dt for s in steps])
-    return n_steps, steps, times
+    # np.rint rounds half to even, as round() does
+    with np.errstate(over="ignore"):  # a time far past t clips to the last step
+        snapped = np.rint(np.asarray(sample_times, dtype=float) / dt)
+    snapped = np.unique(np.clip(snapped, 0, n_steps))
+    if not np.all(np.isfinite(snapped)):
+        raise ValueError("sample times must be finite")
+    steps = [int(s) for s in snapped.tolist()]
+    return n_steps, steps, snapped * dt
 
 
 def _superoperator(x: np.ndarray) -> np.ndarray:
@@ -303,32 +329,154 @@ class TrajectoryRecord:
         return self.states[-1]
 
 
-def derive_trajectory_seed(master_seed: int, index: int) -> int:
+# numpy's SeedSequence (pool of four 32-bit words) as integer arithmetic, so
+# that one hash serves a Python int index and a uint64 index array alike.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _hash_constants(init: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """(xor, multiplier) pairs of ``n`` successive hash calls; they depend on no data."""
+    out = []
+    for _ in range(n):
+        nxt = (init * mult) & _MASK32
+        out.append((init, nxt))
+        init = nxt
+    return out
+
+
+_OUTPUT_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2)
+
+
+def _hashmix(value, xor: int, mult: int):
+    value = ((value ^ xor) * mult) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix_into(pool: list, word, consts, skip: int = -1) -> None:
+    """Mix the hash of ``word`` into every pool entry but ``skip``."""
+    for dst in range(_POOL_SIZE):
+        if dst != skip:
+            v = _hashmix(word, *next(consts))
+            r = (((_MIX_MULT_L * pool[dst]) & _MASK32) - ((_MIX_MULT_R * v) & _MASK32)) & _MASK32
+            pool[dst] = r ^ (r >> 16)
+
+
+@functools.lru_cache(maxsize=64)
+def _entropy_pool(master: int) -> tuple[tuple[int, ...], tuple]:
+    """Pool once the run entropy ``master`` is mixed in, and the hash constants
+    of the two spawn-key words that may follow."""
+    words = []
+    while True:
+        words.append(master & _MASK32)
+        master >>= 32
+        if not master:
+            break
+    words += [0] * (_POOL_SIZE - len(words))  # zero-padded because a spawn key follows
+    n_calls = _POOL_SIZE * len(words)  # 4 words, 12 pairs, then 4 per word past the pool
+    consts = _hash_constants(_INIT_A, _MULT_A, n_calls + 2 * _POOL_SIZE)
+    it = iter(consts)
+    pool = [_hashmix(w, *next(it)) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        _mix_into(pool, pool[src], it, skip=src)
+    for w in words[_POOL_SIZE:]:
+        _mix_into(pool, w, it)
+    return tuple(pool), tuple(consts[n_calls:])
+
+
+def _seed_hash(master: int, index):
+    """``SeedSequence(master, spawn_key=(index,)).generate_state(1, uint64)[0]``.
+
+    ``index`` is a Python int or a uint64 array; every product and difference
+    is masked to 32 bits, so both take the same arithmetic.
+    """
+    base, spawn = _entropy_pool(master)
+    pool = list(base)
+    _mix_into(pool, index & _MASK32, iter(spawn[:_POOL_SIZE]))
+    high = index >> 32  # a spawn-key index of 2**32 or more takes a second word
+    if isinstance(index, np.ndarray):
+        wide = high != 0
+        if wide.any():
+            pool2 = list(pool)
+            _mix_into(pool2, high, iter(spawn[_POOL_SIZE:]))
+            pool = [np.where(wide, p2, p) for p, p2 in zip(pool, pool2)]
+    elif high:
+        _mix_into(pool, high, iter(spawn[_POOL_SIZE:]))
+    lo, hi = (_hashmix(w, *c) for w, c in zip(pool, _OUTPUT_CONSTANTS))
+    return lo | (hi << 32)
+
+
+def derive_trajectory_seed(master_seed: int, index):
     """Per-trajectory stream key for ensemble member ``index``.
 
-    Feeding the returned integer to :func:`sde_trajectory` reproduces the
-    member exactly, independent of batching or total trajectory count.
+    Equals ``SeedSequence(entropy=master_seed, spawn_key=(index,))``'s first
+    uint64.  ``index`` may be an int or an integer array (one key per entry,
+    as a uint64 array).  Feeding a returned key to :func:`sde_trajectory`
+    reproduces the member exactly, independent of batching or total
+    trajectory count.  Raises ValueError for a negative seed or index.
     """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    master = operator.index(master_seed)
+    if master < 0:
+        raise ValueError("master seed must be a non-negative integer")
+    if isinstance(index, np.ndarray):
+        if index.dtype.kind not in "iu":
+            raise TypeError("trajectory indices must be integers")
+        if index.dtype.kind == "i" and np.any(index < 0):
+            raise ValueError("trajectory index must be a non-negative integer")
+        return _seed_hash(master, index.astype(np.uint64, copy=False))
+    index = operator.index(index)
+    if index < 0:
+        raise ValueError("trajectory index must be a non-negative integer")
+    return _seed_hash(master, index)
 
 
-def _rng_for_seed(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+def _fresh_philox_state(key) -> dict:
+    """State of ``np.random.Philox(key=key)`` as just constructed."""
+    key = int(key)
+    if not 0 <= key < 1 << 128:
+        raise ValueError(f"trajectory seed {key} is not in [0, 2**128)")
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [key & 0xFFFFFFFFFFFFFFFF, key >> 64]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
-def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, noise, sample_steps):
-    """Advance a batch of trajectories; returns (samples, final states).
+def _draw_noise(gen: np.random.Generator, streams: list, block: np.ndarray, width: int, keep: bool):
+    """Fill ``block[row, :width]`` with the next normals of stream ``row``.
 
-    ``noise`` has shape (batch, n_steps); row order defines trajectory order.
-    The arithmetic is identical for any batch size, so single runs and
+    ``streams`` holds each row's Philox state; with ``keep`` the state after
+    the draw replaces it, so the next chunk continues the same stream.
+    """
+    bg = gen.bit_generator
+    for row, state in enumerate(streams):
+        bg.state = state
+        gen.standard_normal(out=block[row, :width])
+        if keep:
+            streams[row] = bg.state
+
+
+def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, keys, sample_steps, gen):
+    """Advance one trajectory per stream key; returns (samples, final states).
+
+    Row ``r`` draws its Wiener increments from the Philox stream keyed by
+    ``keys[r]``, ``_NOISE_CHUNK`` steps at a time into one reused
+    (rows, chunk) block, by re-keying ``gen``'s bit generator.  The draws
+    equal one ``standard_normal(n_steps)`` of ``Philox(key=keys[r])``, and
+    the arithmetic is identical for any batch size, so single runs and
     ensemble members agree bitwise.
     """
-    batch = noise.shape[0]
+    batch = len(keys)
     if batch == 1:
         # numpy rounds a one-row ``p @ a`` differently from the same row in a larger batch.
         samples, psi = _evolve_sde_batch(
-            psi0, h, a, lam, dt, n_steps, np.repeat(noise, 2, axis=0), sample_steps
+            psi0, h, a, lam, dt, n_steps, [keys[0], keys[0]], sample_steps, gen
         )
         return samples[:1], psi[:1]
     psi = np.tile(psi0, (batch, 1)).astype(complex)
@@ -340,10 +488,16 @@ def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, noise, sample_steps):
     if sample_steps and sample_steps[0] == 0:
         out[:, 0, :] = psi
         pos = 1
+    streams = [_fresh_philox_state(k) for k in keys]
+    block = np.empty((batch, min(_NOISE_CHUNK, n_steps)))
     for step in range(n_steps):
+        col = step % _NOISE_CHUNK
+        if col == 0:
+            width = min(_NOISE_CHUNK, n_steps - step)
+            _draw_noise(gen, streams, block, width, keep=step + width < n_steps)
         p = psi.real**2 + psi.imag**2
         centered = a[None, :] - (p @ a)[:, None]
-        dw = noise[:, step] * sqrt_dt
+        dw = block[:, col] * sqrt_dt
         gain = sqrt_lam * centered * dw[:, None] - 0.5 * lam * dt * centered**2
         dpsi = gain * psi
         if h_t is not None:
@@ -357,19 +511,22 @@ def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, noise, sample_steps):
     return out, psi
 
 
-def _collapse_outcome(psi, threshold: float) -> int | None:
-    pops = state_populations(psi)
-    winner = int(np.argmax(pops))
-    return winner if pops[winner] >= threshold else None
+def _collapse_outcomes(finals: np.ndarray, threshold: float) -> list[int | None]:
+    """Per row: the basis index holding at least ``threshold`` population, else None."""
+    pops = finals.real**2 + finals.imag**2
+    winners = np.argmax(pops, axis=1)
+    decided = pops[np.arange(len(pops)), winners] >= threshold
+    return [w if d else None for w, d in zip(winners.tolist(), decided.tolist())]
 
 
 def _trajectories(
-    psi0, h, a, lam, dt, t, seeds, sample_times, collapse_threshold
+    psi0, h, a, lam, dt, t, n_trajectories, stream_keys, sample_times, collapse_threshold
 ) -> list[TrajectoryRecord]:
-    """Integrate one trajectory per stream key in ``seeds``, ``_BATCH`` at a time.
+    """Integrate ``n_trajectories`` trajectories, ``_BATCH`` at a time.
 
-    Every input is validated, and the step checked, before the first key is
-    taken from ``seeds``, so a lazy iterable derives no key for a refused run.
+    ``stream_keys(start, stop)`` returns the stream keys of members
+    ``start .. stop - 1``.  Every input is validated, and the step checked,
+    before it is first called, so a refused run derives no key.
     """
     psi0 = validate_pure_state(psi0)
     a = build_collapse_operator(a)
@@ -377,7 +534,7 @@ def _trajectories(
     _check_rate(lam)
     if not (math.isfinite(collapse_threshold) and 0.0 < collapse_threshold <= 1.0):
         raise ValueError("collapse threshold must be finite and in (0, 1]")
-    n_steps, steps, times = _time_grid(t, dt, sample_times)
+    n_steps, steps, times = _time_grid(t, dt, sample_times, max_steps=MAX_SDE_STEPS)
     # |a_i - <A>| <= gap, so the drift factor 1 - (lam/2) dt (a_i - <A>)^2 stays
     # positive below this bound; past it a step flips the sign of amplitudes
     gap = float(a.max() - a.min())
@@ -388,25 +545,25 @@ def _trajectories(
             f"for eigenvalue gap {gap:g}, so the drift factor is not positive; reduce dt"
         )
     eigenvalues = tuple(a.tolist())
+    gen = np.random.Generator(np.random.Philox(0))
     records: list[TrajectoryRecord] = []
-    seeds = iter(seeds)
-    while batch := list(itertools.islice(seeds, _BATCH)):
-        noise = np.empty((len(batch), n_steps))
-        for row, s in enumerate(batch):
-            noise[row] = _rng_for_seed(s).standard_normal(n_steps)
-        samples, finals = _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, noise, steps)
+    for start in range(0, n_trajectories, _BATCH):
+        keys = stream_keys(start, min(start + _BATCH, n_trajectories))
+        samples, finals = _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, keys, steps, gen)
         records.extend(
             TrajectoryRecord(
-                seed=s,
+                seed=key,
                 times=times,
-                states=samples[row],
-                outcome=_collapse_outcome(finals[row], collapse_threshold),
+                states=states,
+                outcome=outcome,
                 eigenvalues=eigenvalues,
                 lam=float(lam),
                 dt=float(dt),
                 hamiltonian=h,
             )
-            for row, s in enumerate(batch)
+            for key, states, outcome in zip(
+                keys, samples, _collapse_outcomes(finals, collapse_threshold)
+            )
         )
     return records
 
@@ -427,7 +584,9 @@ def sde_trajectory(
     Deterministic given (seed, dt): rerunning with the same arguments
     reproduces every sampled state bitwise.
     """
-    return _trajectories(psi0, h, a, lam, dt, t, [seed], sample_times, collapse_threshold)[0]
+    return _trajectories(
+        psi0, h, a, lam, dt, t, 1, lambda start, stop: [seed], sample_times, collapse_threshold
+    )[0]
 
 
 def simulate_ensemble(
@@ -450,11 +609,19 @@ def simulate_ensemble(
     """
     if n_trajectories <= 0:
         raise ValueError("n_trajectories must be positive")
-    seeds = (derive_trajectory_seed(seed, i) for i in range(n_trajectories))
-    return _trajectories(psi0, h, a, lam, dt, t, seeds, sample_times, collapse_threshold)
+
+    def stream_keys(start: int, stop: int) -> list[int]:
+        return derive_trajectory_seed(seed, np.arange(start, stop, dtype=np.uint64)).tolist()
+
+    return _trajectories(
+        psi0, h, a, lam, dt, t, n_trajectories, stream_keys, sample_times, collapse_threshold
+    )
 
 
 def _same_grid(r1: TrajectoryRecord, r2: TrajectoryRecord) -> bool:
+    same_scalars = r1.eigenvalues == r2.eigenvalues and r1.lam == r2.lam and r1.dt == r2.dt
+    if r1.times is r2.times and r1.hamiltonian is r2.hamiltonian:
+        return same_scalars  # records of one run share these arrays
     if not np.array_equal(r1.times, r2.times):
         return False
     if r1.eigenvalues != r2.eigenvalues or r1.lam != r2.lam or r1.dt != r2.dt:

@@ -1,13 +1,18 @@
 """Command-line surface: outputs, exit codes, determinism, schemas."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import time
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadlab import cli
 
@@ -197,6 +202,9 @@ def test_simulate_lindblad_outside_stability_region_exits_3(capsys):
         ["simulate", "sde", "--threshold", "nan"],
         ["simulate", "sde", "--threshold", "0"],
         ["simulate", "sde", "--trajectories", "3", "--format", "csv"],
+        ["simulate", "sde", "--t", "1000", "--dt", "1e-9", "--trajectories", "2"],
+        ["simulate", "sde", "--t", "1e300", "--dt", "1e-3"],
+        ["simulate", "sde", "--seed", "-1"],
     ],
 )
 def test_out_of_range_numbers_exit_2(argv, capsys):
@@ -204,6 +212,56 @@ def test_out_of_range_numbers_exit_2(argv, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["sde", "lindblad"])
+def test_samples_beyond_the_step_grid_repeat_no_rows(mode, capsys):
+    # 10 steps have 11 distinct sample rows; more samples snap onto them
+    argv = ["simulate", mode, "--t", "0.01", "--dt", "1e-3", "--format", "csv"]
+    assert cli.main(argv + ["--samples", "11"]) == 0
+    expected = capsys.readouterr().out
+    start = time.perf_counter()
+    assert cli.main(argv + ["--samples", str(10**8)]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out == expected
+    assert len(expected.strip().split("\n")) == 12
+
+
+def _main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed number
+            code = exc.code
+    return code, err.getvalue()
+
+
+_EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(["sde", "lindblad"]),
+    t=st.sampled_from(_EXTREMES + ["0.01"]),
+    dt=st.sampled_from(_EXTREMES + ["1e-3"]),
+    lam=st.sampled_from(_EXTREMES + ["1"]),
+    threshold=st.sampled_from(_EXTREMES + ["0.99"]),
+    samples=st.sampled_from(_EXTREMES + ["3"]),
+    seed=st.sampled_from(_EXTREMES + ["5"]),
+    trajectories=st.sampled_from(_EXTREMES + ["3"]),
+    csv=st.booleans(),
+)
+def test_simulate_exit_code_contract(mode, t, dt, lam, threshold, samples, seed, trajectories, csv):
+    # an accepted sde case is at most 10 steps of 3 trajectories; lindblad powers its step
+    argv = ["simulate", mode, "--t", t, "--dt", dt, "--lambda", lam, "--samples", samples]
+    if mode == "sde":
+        argv += ["--threshold", threshold, "--seed", seed, "--trajectories", trajectories]
+    if csv:
+        argv += ["--format", "csv"]
+    code, err = _main_in_process(argv)
+    assert code in (0, 2, 3), err
     assert "Traceback" not in err
 
 

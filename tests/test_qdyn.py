@@ -1,6 +1,8 @@
 """Collapse dynamics: analytic decay oracles, trajectory statistics, guards."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +276,136 @@ def test_sde_rejects_invalid_hamiltonian(h, monkeypatch):
     monkeypatch.setattr(qdyn, "derive_trajectory_seed", no_seeds)
     with pytest.raises(ValueError, match="Hermitian 4x4"):
         qdyn.simulate_ensemble(psi, h, A_REF, 1.0, 1e-3, 0.1, n_trajectories=3)
+
+
+def _seed_sequence_key(master, index):
+    return int(np.random.SeedSequence(entropy=master, spawn_key=(index,)).generate_state(1, np.uint64)[0])
+
+
+def test_trajectory_seed_hash_matches_seed_sequence():
+    masters = (0, 1, 2**32 - 1, 2**32, 2**64 + 3)
+    indices = (0, 1, 999, 2**32 - 1, 2**32, 2**32 + 5)
+    for master in masters:
+        expected = [_seed_sequence_key(master, i) for i in indices]
+        assert [qdyn.derive_trajectory_seed(master, i) for i in indices] == expected
+        keys = qdyn.derive_trajectory_seed(master, np.array(indices, dtype=np.uint64))
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == expected
+    for bad in ((-1, 0), (0, -1), (0, np.array([3, -1]))):
+        with pytest.raises(ValueError):
+            qdyn.derive_trajectory_seed(*bad)
+
+
+def test_chunked_noise_equals_one_shot_philox_draws():
+    keys = [0, 7, 2**64 - 1, 2**64, 2**128 - 1]
+    n = 2500
+    expected = np.stack([np.random.Generator(np.random.Philox(key=k)).standard_normal(n) for k in keys])
+    gen = np.random.Generator(np.random.Philox(0))
+    streams = [qdyn._fresh_philox_state(k) for k in keys]
+    got = np.empty((len(keys), n))
+    block = np.empty((len(keys), 1000))
+    start = 0
+    for width in (777, 1000, 1, 722):
+        qdyn._draw_noise(gen, streams, block, width, keep=True)
+        got[:, start:start + width] = block[:, :width]
+        start += width
+    assert np.array_equal(got, expected)
+    with pytest.raises(ValueError):
+        qdyn._fresh_philox_state(-1)
+
+
+def test_ensemble_independent_of_noise_chunk(monkeypatch):
+    # 11 steps are chunks of 3, 3, 3 and 2 at _NOISE_CHUNK = 3
+    psi = np.ones(4, dtype=complex) / 2.0
+    args = (psi, qdyn.swap_hamiltonian(), A_REF, 1.0, 1e-3, 0.011)
+    kw = dict(n_trajectories=5, seed=3, sample_times=[0.0, 0.002, 0.004, 0.011], collapse_threshold=0.3)
+    ref = qdyn.simulate_ensemble(*args, **kw)
+    monkeypatch.setattr(qdyn, "_NOISE_CHUNK", 3)
+    chunked = qdyn.simulate_ensemble(*args, **kw)
+    assert np.array_equal(np.stack([r.states for r in chunked]), np.stack([r.states for r in ref]))
+    assert [r.outcome for r in chunked] == [r.outcome for r in ref]
+    assert any(r.outcome is not None for r in ref)
+
+
+def test_sde_noise_memory_is_bounded_by_the_chunk():
+    # 1000 x 5000 steps would be a 40 MB noise array; the chunk keeps it at 8 MB
+    psi = qdyn.basis_superposition(0, 1)
+    tracemalloc.start()
+    try:
+        records = qdyn.simulate_ensemble(psi, None, A_REF, 1.0, 1e-3, 5.0, n_trajectories=1000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 1000
+    assert peak < 16 * 2**20
+
+
+def test_sde_refuses_too_many_steps_before_deriving_seeds(monkeypatch):
+    psi = qdyn.basis_superposition(0, 1)
+
+    def no_seeds(master, index):
+        raise AssertionError("a seed was derived for a refused run")
+
+    monkeypatch.setattr(qdyn, "derive_trajectory_seed", no_seeds)
+    for t, dt in ((1000.0, 1e-9), (1e300, 1e-3)):
+        with pytest.raises(ValueError, match="allowed"):
+            qdyn.simulate_ensemble(psi, None, A_REF, 1.0, dt, t, n_trajectories=2)
+        with pytest.raises(ValueError, match="allowed"):
+            qdyn.sde_trajectory(psi, None, A_REF, 1.0, dt, t, seed=1, sample_times=np.linspace(0.0, t, 10**6))
+
+
+def _time_grid_reference(t, dt, sample_times):
+    n_steps = int(round(t / dt))
+    steps = sorted({min(max(int(round(float(s) / dt)), 0), n_steps) for s in sample_times})
+    return n_steps, steps, np.array([s * dt for s in steps])
+
+
+def test_time_grid_snaps_like_round():
+    dt = 1e-3
+    cases = [
+        [0.0, 0.5],
+        np.linspace(0.0, 0.5, 7),
+        np.linspace(0.0, 0.0106, 500),
+        [-0.2, 0.0025, 0.0035, 0.0045, 0.2, 9.0],  # ties round half to even
+        np.arange(12) * dt,
+    ]
+    for sample_times in cases:
+        t = 0.5 if max(sample_times) > 0.0106 else 0.0106
+        n_steps, steps, times = qdyn._time_grid(t, dt, sample_times)
+        ref_n, ref_steps, ref_times = _time_grid_reference(t, dt, sample_times)
+        assert (n_steps, steps) == (ref_n, ref_steps)
+        assert np.array_equal(times, ref_times)
+    with pytest.raises(ValueError, match="finite"):
+        qdyn._time_grid(1.0, dt, [0.0, math.nan])
+
+
+def test_collapse_outcomes_match_per_row_rule():
+    rng = np.random.default_rng(5)
+    finals = rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))
+    finals /= np.linalg.norm(finals, axis=1)[:, None]
+    finals[0] = [1.0, 0.0, 0.0, 0.0]
+    finals[1] = np.ones(4) / 2.0  # a four-way tie goes to the first index
+    for threshold in (0.25, 0.5, 0.99):
+        expected = []
+        for psi in finals:
+            pops = qdyn.state_populations(psi)
+            winner = int(np.argmax(pops))
+            expected.append(winner if pops[winner] >= threshold else None)
+        assert qdyn._collapse_outcomes(finals, threshold) == expected
+
+
+def test_ensemble_average_checks_scalars_of_shared_grids():
+    psi = qdyn.basis_superposition(0, 1)
+    records = qdyn.simulate_ensemble(psi, None, A_REF, 1.0, 1e-3, 0.05, n_trajectories=3, seed=2)
+    assert records[0].times is records[2].times
+    qdyn.ensemble_average(records, at=0.05)
+    with pytest.raises(GridMismatch):
+        qdyn.ensemble_average(records + [dataclasses.replace(records[0], lam=2.0)], at=0.05)
+    copied = dataclasses.replace(records[1], times=records[1].times.copy())
+    assert np.array_equal(
+        qdyn.ensemble_average([records[0], copied], at=0.05),
+        qdyn.ensemble_average(records[:2], at=0.05),
+    )
 
 
 def test_trajectory_seeds_do_not_depend_on_count():
