@@ -26,6 +26,8 @@ from . import model, optimizer, phi, qdyn, qiit, qshape
 from .errors import DyadError, KLUndefined, StepTooLarge
 
 ENV_OUT_DIR = "DYADLAB_OUT_DIR"
+# Largest CSV time series: 10^5 Lindblad rows already take about 150 MB and 7 s.
+MAX_CSV_ROWS = 10**5
 
 CSV_COLUMNS = (
     "time",
@@ -235,13 +237,16 @@ def _csv_sample_times(t: float, dt: float, samples: int):
 
     Sample times snap to the nearest of the ``round(t/dt) + 1`` grid steps, so
     once ``samples - 1 >= t/dt`` every step is a sample and a finer linspace
-    would only repeat rows.
+    would only repeat rows.  More than ``MAX_CSV_ROWS`` rows are refused
+    before any of them is built.
     """
     if not (math.isfinite(t) and math.isfinite(dt) and dt > 0):
         return [t]  # no grid to sample; the engine names the bad value
-    if samples - 1 >= t / dt:
-        return np.arange(round(t / dt) + 1) * dt
-    return np.linspace(0.0, t, samples)
+    on_grid = samples - 1 >= t / dt
+    rows = round(t / dt) + 1 if on_grid else samples
+    if rows > MAX_CSV_ROWS:
+        raise UsageError(f"--format csv would print {rows} rows, more than the {MAX_CSV_ROWS} allowed")
+    return np.arange(rows) * dt if on_grid else np.linspace(0.0, t, samples)
 
 
 def cmd_simulate_lindblad(args) -> int:
@@ -344,7 +349,11 @@ def _parse_amplitudes(path: str) -> np.ndarray:
         raise UsageError(f"invalid amplitudes in {path!r}")
     if psi.shape != (4,):
         raise UsageError("amplitudes must list exactly 4 entries")
-    norm = np.linalg.norm(psi)
+    for i, v in enumerate(psi):
+        if not np.isfinite(v):
+            raise UsageError(f"amplitude {i} is not finite: {v}")
+    with np.errstate(over="ignore"):  # an overflowing norm is reported as inf below
+        norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-8:
         raise UsageError(f"amplitudes are not normalized (norm {norm:.6f})")
     return psi / norm

@@ -29,6 +29,9 @@ TOLERANCE = 1e-9
 # Largest lattice grid_oracle builds, (bound/g + 1)^3 points (6 MB of
 # coordinates), scanned once for each of the four pinned coordinates.
 MAX_LATTICE_POINTS = 250_000
+# Points reach 3x the largest entry (lattice points, the bound), and _collect's
+# round(v, 9) multiplies them by 1e9; this cap keeps those and all sums finite.
+MAX_TABLE_ENTRY = 1e298
 
 # Reference distance table for the swap dyad.  The collapse-operator
 # optimization and the `optimize` CLI default are defined on this table.
@@ -96,8 +99,8 @@ def validate_table(table) -> np.ndarray:
         raise ValueError("distance table must be 4x4")
     if not np.all(np.isfinite(table)):
         raise ValueError("distance table must be finite")
-    if np.any(table < 0):
-        raise ValueError("distance table entries must be non-negative")
+    if np.any(table < 0) or np.any(table > MAX_TABLE_ENTRY):
+        raise ValueError(f"distance table entries must lie in [0, {MAX_TABLE_ENTRY:g}]")
     if np.any(np.abs(np.diag(table)) > TOLERANCE):
         raise ValueError("distance table must have a zero diagonal")
     if not np.allclose(table, table.T, atol=TOLERANCE):
@@ -182,8 +185,8 @@ def grid_oracle(table, granularity: float = 1.0, bound: float | None = None) -> 
     min_bound = 3.0 * float(table.max())
     if bound is None:
         bound = min_bound
-    if not math.isfinite(bound):
-        raise ValueError("bound must be finite")
+    if not (math.isfinite(bound) and bound <= 3.0 * MAX_TABLE_ENTRY):
+        raise ValueError(f"bound must be finite and at most {3.0 * MAX_TABLE_ENTRY:g}")
     if bound < min_bound:
         raise ValueError(f"bound must be at least 3x the largest entry ({min_bound})")
     per_axis = (bound + granularity / 2) / granularity

@@ -5,7 +5,12 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+import tempfile
 import time
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -14,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadlab import cli
+from dyadlab import cli, optimizer
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = ROOT / "docs" / "schemas"
 
 
 def _schema(name):
@@ -118,6 +124,26 @@ def test_optimize_bad_table_exits_2(tmp_path, capsys):
     table_path = tmp_path / "bad.json"
     table_path.write_text(json.dumps([[0.0, 1.0], [1.0, 0.0]]))
     assert cli.main(["optimize", "--table", str(table_path)]) == 2
+
+
+def _uniform_table(entry):
+    return [[0.0 if i == j else entry for j in range(4)] for i in range(4)]
+
+
+def test_optimize_refuses_entries_whose_gap_sums_overflow(tmp_path):
+    table_path = tmp_path / "huge.json"
+    table_path.write_text(json.dumps(_uniform_table(1e308)))
+    code, _, err = _main_in_process(["optimize", "--table", str(table_path)])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_optimize_largest_accepted_entries_print_finite_json(tmp_path):
+    table_path = tmp_path / "cap.json"
+    table_path.write_text(json.dumps(_uniform_table(optimizer.MAX_TABLE_ENTRY)))
+    code, out, err = _main_in_process(["optimize", "--table", str(table_path)])
+    assert code == 0 and err == ""
+    _validate("optimize", json.loads(out, parse_constant=lambda name: pytest.fail(name)))
 
 
 def test_simulate_lindblad_json(capsys):
@@ -228,17 +254,46 @@ def test_samples_beyond_the_step_grid_repeat_no_rows(mode, capsys):
     assert len(expected.strip().split("\n")) == 12
 
 
+@pytest.mark.parametrize("mode", ["sde", "lindblad"])
+def test_csv_row_cap_refuses_before_building_rows(mode):
+    argv = ["simulate", mode, "--t", "1e300", "--dt", "1e-3", "--format", "csv",
+            "--samples", "20000000"]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, _, err = _main_in_process(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert f"more than the {cli.MAX_CSV_ROWS} allowed" in err
+    assert peak < 2**20
+
+
 def _main_in_process(argv):
+    """Exit code, stdout and stderr of one in-process run, warnings included in stderr."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse rejects a malformed number
             code = exc.code
-    return code, err.getvalue()
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(code, _out, err):
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    assert "Warning" not in err, err
 
 
 _EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]
+_LARGE_EXTREMES = _EXTREMES + ["1e308"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -248,7 +303,7 @@ _EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]
     dt=st.sampled_from(_EXTREMES + ["1e-3"]),
     lam=st.sampled_from(_EXTREMES + ["1"]),
     threshold=st.sampled_from(_EXTREMES + ["0.99"]),
-    samples=st.sampled_from(_EXTREMES + ["3"]),
+    samples=st.sampled_from(_EXTREMES + ["3", "20000000"]),
     seed=st.sampled_from(_EXTREMES + ["5"]),
     trajectories=st.sampled_from(_EXTREMES + ["3"]),
     csv=st.booleans(),
@@ -260,9 +315,55 @@ def test_simulate_exit_code_contract(mode, t, dt, lam, threshold, samples, seed,
         argv += ["--threshold", threshold, "--seed", seed, "--trajectories", trajectories]
     if csv:
         argv += ["--format", "csv"]
-    code, err = _main_in_process(argv)
-    assert code in (0, 2, 3), err
-    assert "Traceback" not in err
+    _assert_contract(*_main_in_process(argv))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    off_diagonal=st.lists(st.sampled_from(_LARGE_EXTREMES + ["2"]), min_size=6, max_size=6),
+    diagonal=st.sampled_from(_LARGE_EXTREMES),
+    oracle=st.booleans(),
+    granularity=st.sampled_from(_LARGE_EXTREMES + ["1"]),
+    bound=st.sampled_from(_LARGE_EXTREMES + [None]),
+)
+def test_optimize_exit_code_contract(off_diagonal, diagonal, oracle, granularity, bound):
+    # accepted oracle lattices stay small: entries are at most 2, so the bound is at most 6
+    table = _uniform_table(0.0)
+    for (i, j), v in zip([(i, j) for i in range(4) for j in range(i + 1, 4)], off_diagonal):
+        table[i][j] = table[j][i] = float(v)
+    table[0][0] = float(diagonal)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.json")
+        with open(path, "w") as fh:
+            json.dump(table, fh)
+        argv = ["optimize", "--table", path]
+        if oracle:
+            argv += ["--oracle", "--granularity", granularity]
+            argv += [] if bound is None else ["--bound", bound]
+        _assert_contract(*_main_in_process(argv))
+
+
+_AMPLITUDE_VALUES = st.sampled_from(_LARGE_EXTREMES + ["0.5", "1"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            _AMPLITUDE_VALUES,  # a JSON string, parsed by complex()
+            _AMPLITUDE_VALUES.map(float),
+            st.tuples(_AMPLITUDE_VALUES.map(float), _AMPLITUDE_VALUES.map(float)).map(list),
+        ),
+        min_size=4,
+        max_size=4,
+    )
+)
+def test_qphi_amplitudes_exit_code_contract(amplitudes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "amps.json")
+        with open(path, "w") as fh:
+            json.dump(amplitudes, fh)
+        _assert_contract(*_main_in_process(["qphi", "--amplitudes", path]))
 
 
 def test_simulate_sde_single_trajectory_csv(capsys):
@@ -348,11 +449,45 @@ def test_qphi_rejects_unnormalized_amplitudes(tmp_path, capsys):
     assert "normalized" in capsys.readouterr().err
 
 
+def test_qphi_rejects_non_finite_amplitudes_by_name(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps([1, "nan", 0, 0]))
+    code, _, err = _main_in_process(["qphi", "--amplitudes", str(path)])
+    assert code == 2
+    assert err.startswith("error: amplitude 1 is not finite") and err.count("\n") == 1, err
+
+
 def test_qphi_rejects_entangled_amplitudes(tmp_path, capsys):
     path = tmp_path / "bell.json"
     s = 1.0 / math.sqrt(2.0)
     path.write_text(json.dumps([s, 0.0, 0.0, s]))
     assert cli.main(["qphi", "--amplitudes", str(path)]) == 2
+
+
+def _dyadlab_process(code, *argv):
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])},
+    )
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _dyadlab_process(
+        "import sys, dyadlab.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv", [["distances", "--metric", "emd", "--points"], ["qshape", "--state", "10", "--metric", "emd"]]
+)
+def test_emd_commands_run_with_scipy_blocked(argv):
+    run = "import sys; from dyadlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    free = _dyadlab_process(run, *argv)
+    blocked = _dyadlab_process("import sys; sys.modules['scipy'] = None; " + run, *argv)
+    assert free.returncode == 0 and blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == free.stdout
 
 
 def test_help_exits_zero():

@@ -1,7 +1,8 @@
 """Q-shape construction, row metrics, and the pairwise distance table.
 
-The earth-mover oracle uses the closed form for the discrete ground metric
-(the mass that must leave its site), independent of the library's LP route.
+The library computes the earth-mover distance in closed form (the mass that
+must leave its site under the discrete ground metric); an independent
+16-variable transport linear program, solved by scipy, checks it.
 """
 
 import numpy as np
@@ -58,6 +59,20 @@ def _swap_shapes():
 def emd_discrete_oracle(p, q):
     # under the 0/1 ground metric the optimal cost is the surplus mass
     return float(np.maximum(np.asarray(p) - np.asarray(q), 0.0).sum())
+
+
+def emd_transport_lp(p, q):
+    """Optimal transport cost under the 0/1 ground metric, as a linear program."""
+    from scipy.optimize import linprog
+
+    cost = (np.ones((4, 4)) - np.eye(4)).reshape(16)
+    a_eq = np.zeros((8, 16))
+    for i in range(4):
+        a_eq[i, 4 * i : 4 * i + 4] = 1.0  # mass leaving site i is p_i
+        a_eq[4 + i, i::4] = 1.0  # mass arriving at site i is q_i
+    res = linprog(cost, A_eq=a_eq, b_eq=np.concatenate([p, q]), bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return float(res.fun)
 
 
 def distributions():
@@ -202,9 +217,25 @@ def test_emd_matches_discrete_closed_form_on_random_distributions(rng):
         p /= p.sum()
         q = rng.random(4)
         q /= q.sum()
-        lp = qshape.earth_mover(p, q)
-        assert lp == pytest.approx(emd_discrete_oracle(p, q), abs=1e-9)
-        assert lp == pytest.approx(qshape.total_variation(p, q), abs=1e-9)
+        emd = qshape.earth_mover(p, q)
+        assert emd == pytest.approx(emd_discrete_oracle(p, q), abs=1e-9)
+        assert emd == pytest.approx(qshape.total_variation(p, q), abs=1e-9)
+
+
+def test_emd_matches_transport_lp_oracle(rng):
+    # every ordered pair of swap and not_swap Q-shape rows, plus random rows
+    rows = {
+        tuple(row)
+        for tpm in (model.swap(), model.not_swap())
+        for st_ in ALL_STATES
+        for row in qshape.build_qshape(tpm, st_).rows
+    }
+    pairs = [(np.array(p), np.array(q)) for p in rows for q in rows]
+    for _ in range(20):
+        p, q = rng.random(4), rng.random(4)
+        pairs.append((p / p.sum(), q / q.sum()))
+    for p, q in pairs:
+        assert abs(qshape.earth_mover(p, q) - emd_transport_lp(p, q)) <= 1e-12
 
 
 def test_kl_guarded():
