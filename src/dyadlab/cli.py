@@ -44,7 +44,7 @@ CSV_COLUMNS = (
 )
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad command-line input; reported on stderr with exit code 2."""
 
 
@@ -119,6 +119,11 @@ def cmd_phi(args) -> int:
     return 0
 
 
+def _part_points(shape: qshape.QShape) -> dict:
+    """Each part's flattened 8-d point, keyed by unit."""
+    return {unit: shape.part_point(unit).tolist() for unit in model.UNITS}
+
+
 def cmd_qshape(args) -> int:
     tpm = _parse_tpm(args.tpm)
     state = _parse_state(args.state)
@@ -126,10 +131,7 @@ def cmd_qshape(args) -> int:
     style = qshape.build_qshape_iit4(tpm, state)
     payload = shape.to_json()
     payload["iit4_style"] = style.to_json()
-    payload["points"] = {
-        "A": shape.part_point(model.UNIT_A).tolist(),
-        "B": shape.part_point(model.UNIT_B).tolist(),
-    }
+    payload["points"] = _part_points(shape)
     distances = {}
     undefined = []
     for other in model.ALL_STATES:
@@ -166,11 +168,7 @@ def cmd_distances(args) -> int:
     }
     if args.points:
         payload["points"] = {
-            s.label: {
-                "A": qshape.build_qshape(tpm, s).part_point(model.UNIT_A).tolist(),
-                "B": qshape.build_qshape(tpm, s).part_point(model.UNIT_B).tolist(),
-            }
-            for s in model.ALL_STATES
+            s.label: _part_points(qshape.build_qshape(tpm, s)) for s in model.ALL_STATES
         }
     _emit(_json_text(payload), args.output)
     return 0
@@ -327,7 +325,8 @@ def cmd_simulate_sde(args) -> int:
         "frequencies": {k: v / args.trajectories for k, v in counts.items()},
     }
     if args.ensemble_average:
-        rho = qdyn.ensemble_average(records, at=args.t)
+        # the engine's last sample time: --t snapped to the step grid
+        rho = qdyn.ensemble_average(records, at=records[0].times[-1])
         payload["ensemble_average"] = {
             "rho_real": rho.real.tolist(),
             "rho_imag": rho.imag.tolist(),
@@ -466,16 +465,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except StepTooLarge as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
-    except DyadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (DyadError, ValueError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

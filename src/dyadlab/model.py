@@ -60,14 +60,6 @@ class DyadState:
     def value(self, unit: str) -> int:
         return self.a if unit == UNIT_A else self.b if unit == UNIT_B else _bad_unit(unit)
 
-    def with_value(self, unit: str, value: int) -> "DyadState":
-        value = _as_bit(value, "value")
-        if unit == UNIT_A:
-            return DyadState(value, self.b)
-        if unit == UNIT_B:
-            return DyadState(self.a, value)
-        return _bad_unit(unit)
-
     @property
     def label(self) -> str:
         return f"{self.a}{self.b}"

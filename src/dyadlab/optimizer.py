@@ -8,8 +8,10 @@ The solver enumerates all 24 orderings of the four eigenvalues and, for
 each ordering, places values greedily in increasing order: the smallest
 value is 0 (subtracting the minimum from any feasible point stays feasible
 and lowers the sum), and every later value is the smallest one respecting
-the gap constraints against the values already placed.  For a feasible
-point w ordered the same way, induction gives greedy_k <= w_k - w_min, so
+the gap constraints against the values already placed.  Gaps and
+non-negativity hold within ``TOLERANCE``, so an entry of at most
+``TOLERANCE`` constrains nothing and is placed as 0.  For a feasible point
+w ordered the same way, induction gives greedy_k <= w_k - w_min, so
 each ordering's greedy completion dominates every feasible point with that
 ordering; collecting the completions of minimal sum therefore yields the
 exact minimizer set.  An independent lattice search cross-checks this.
@@ -108,18 +110,19 @@ def validate_table(table) -> np.ndarray:
     return table
 
 
-def feasible(assignment: EigenAssignment, table, tol: float = TOLERANCE) -> bool:
-    """True iff all eigenvalues are non-negative and every gap is satisfied."""
-    return _feasible(assignment.as_tuple(), validate_table(table), tol)
+def feasible(assignment: EigenAssignment, table) -> bool:
+    """True iff all eigenvalues are non-negative and every gap is satisfied,
+    both within ``TOLERANCE``."""
+    return _feasible(assignment.as_tuple(), validate_table(table))
 
 
-def _feasible(values, table: np.ndarray, tol: float) -> bool:
+def _feasible(values, table: np.ndarray) -> bool:
     """:func:`feasible` for four values and an already validated table."""
-    if any(v < -tol for v in values):
+    if any(v < -TOLERANCE for v in values):
         return False
     for i in range(4):
         for j in range(i + 1, 4):
-            if abs(values[i] - values[j]) < table[i, j] - tol:
+            if abs(values[i] - values[j]) < table[i, j] - TOLERANCE:
                 return False
     return True
 
@@ -144,7 +147,7 @@ def _greedy_completion(order, table) -> tuple:
 
 
 def _collect(points, table) -> OptimizationResult:
-    feas = [p for p in points if _feasible(p, table, TOLERANCE)]
+    feas = [p for p in points if _feasible(p, table)]
     if not feas:
         raise InfeasibleTable("no assignment satisfies the gap constraints")
     best = min(sum(p) for p in feas)
@@ -165,8 +168,10 @@ def _collect(points, table) -> OptimizationResult:
 def solve(table) -> OptimizationResult:
     """Exact minimizer set via ordering enumeration plus greedy tightening."""
     table = validate_table(table)
+    # a gap of at most TOLERANCE is met by equal values, so it places nothing
+    placed = np.where(table <= TOLERANCE, 0.0, table)
     points = [
-        _greedy_completion(order, table) for order in itertools.permutations(range(4))
+        _greedy_completion(order, placed) for order in itertools.permutations(range(4))
     ]
     return _collect(points, table)
 

@@ -63,24 +63,24 @@ def _effect_detail(tpm: Tpm2, unit: str, state: DyadState) -> tuple[float, int]:
         )
     realized = tpm.apply(state).value(partner)
     p = _transition_prob(tpm, partner, realized, given=(unit, state.value(unit)))
-    p_noise = noised_effect_prob(tpm, unit, state.value(unit), partner, realized)
+    p_noise = _transition_prob(tpm, partner, realized)
     return _information(p, p_noise), realized
 
 
 def _cause_detail(tpm: Tpm2, unit: str, state: DyadState) -> tuple[float, int]:
     unit_state = state.value(unit)
-    marginal = _transition_prob(tpm, unit, unit_state)
-    if marginal == 0.0:
+    partner = other_unit(unit)
+    likelihood = {w: _transition_prob(tpm, unit, unit_state, given=(partner, w)) for w in (0, 1)}
+    # the marginal p(unit = unit_state); exact, since both terms are multiples of 1/4
+    noised = 0.5 * likelihood[0] + 0.5 * likelihood[1]
+    if noised == 0.0:
         raise ZeroMarginal(
             f"state {unit}={unit_state} is unreachable under this transition rule"
         )
-    partner = other_unit(unit)
     if tpm.dependency(unit) != partner:
         raise NotCrossCoupled(
             f"unit {unit} does not read {partner}; {unit} carries no cause information"
         )
-    likelihood = {w: _transition_prob(tpm, unit, unit_state, given=(partner, w)) for w in (0, 1)}
-    noised = 0.5 * likelihood[0] + 0.5 * likelihood[1]
     # Bayes posterior over the partner's previous value, uniform prior 0.5;
     # the denominator equals the noised probability for single-reader rules.
     posterior = {w: likelihood[w] * 0.5 / noised for w in (0, 1)}

@@ -60,38 +60,34 @@ _NOISE_CHUNK = 1024
 # Steps per SDE trajectory; one trajectory of this many takes hours.
 MAX_SDE_STEPS = 10**9
 
+_STATE_ATOL = 1e-10
+_PSD_ATOL = 1e-8
 _GUARD_ATOL = 1e-6
 # R(0) = 1 exactly on the conserved modes, so a stable RK4 step has spectral
 # radius at most 1 up to the eigenvalue solver's round-off.
 _STABILITY_ATOL = 1e-10
 
 
-def validate_pure_state(psi, atol: float = 1e-10) -> np.ndarray:
+def validate_pure_state(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (DIM,):
         raise ValueError(f"pure state must have {DIM} amplitudes, got shape {psi.shape}")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > atol:
+    if abs(norm - 1.0) > _STATE_ATOL:
         raise ValueError(f"pure state norm is {norm!r}, not 1")
     return psi
 
 
-def validate_density_matrix(
-    rho,
-    herm_atol: float = 1e-10,
-    trace_atol: float = 1e-10,
-    psd_atol: float = 1e-8,
-    dim: int = DIM,
-) -> np.ndarray:
+def validate_density_matrix(rho, dim: int = DIM) -> np.ndarray:
     """``rho`` as a complex ``dim`` x ``dim`` density matrix, or ValueError."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix must be {dim}x{dim}, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_atol:
+    if np.max(np.abs(rho - rho.conj().T)) > _STATE_ATOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > trace_atol:
+    if abs(np.trace(rho) - 1.0) > _STATE_ATOL:
         raise ValueError("density matrix trace is not 1 within tolerance")
-    if np.min(np.linalg.eigvalsh(rho)) < -psd_atol:
+    if np.min(np.linalg.eigvalsh(rho)) < -_PSD_ATOL:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
     return rho
 
@@ -416,7 +412,8 @@ def derive_trajectory_seed(master_seed: int, index):
     uint64.  ``index`` may be an int or an integer array (one key per entry,
     as a uint64 array).  Feeding a returned key to :func:`sde_trajectory`
     reproduces the member exactly, independent of batching or total
-    trajectory count.  Raises ValueError for a negative seed or index.
+    trajectory count.  Raises ValueError for a negative seed or index, or an
+    int index of 2**64 or more, which no uint64 array can hold.
     """
     master = operator.index(master_seed)
     if master < 0:
@@ -428,8 +425,8 @@ def derive_trajectory_seed(master_seed: int, index):
             raise ValueError("trajectory index must be a non-negative integer")
         return _seed_hash(master, index.astype(np.uint64, copy=False))
     index = operator.index(index)
-    if index < 0:
-        raise ValueError("trajectory index must be a non-negative integer")
+    if not 0 <= index < 1 << 64:  # the hash takes an index of at most two 32-bit words
+        raise ValueError(f"trajectory index {index} is not in [0, 2**64)")
     return _seed_hash(master, index)
 
 
@@ -619,18 +616,15 @@ def simulate_ensemble(
 
 
 def _same_grid(r1: TrajectoryRecord, r2: TrajectoryRecord) -> bool:
-    same_scalars = r1.eigenvalues == r2.eigenvalues and r1.lam == r2.lam and r1.dt == r2.dt
-    if r1.times is r2.times and r1.hamiltonian is r2.hamiltonian:
-        return same_scalars  # records of one run share these arrays
-    if not np.array_equal(r1.times, r2.times):
-        return False
-    if r1.eigenvalues != r2.eigenvalues or r1.lam != r2.lam or r1.dt != r2.dt:
-        return False
-    if (r1.hamiltonian is None) != (r2.hamiltonian is None):
-        return False
-    if r1.hamiltonian is not None and not np.array_equal(r1.hamiltonian, r2.hamiltonian):
-        return False
-    return True
+    # records of one run share their arrays, so identity settles most comparisons;
+    # array_equal of None and a matrix is False (their shapes differ)
+    return (
+        r1.eigenvalues == r2.eigenvalues
+        and r1.lam == r2.lam
+        and r1.dt == r2.dt
+        and (r1.times is r2.times or np.array_equal(r1.times, r2.times))
+        and (r1.hamiltonian is r2.hamiltonian or np.array_equal(r1.hamiltonian, r2.hamiltonian))
+    )
 
 
 def ensemble_average(trajectories, at: float) -> np.ndarray:

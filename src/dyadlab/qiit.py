@@ -10,9 +10,10 @@ with overlaps ``P_ij = |<psi_i|phi_j>|^2``,
 
 For pure ``rho`` the two coincide.  Partition noise is the maximally mixed
 qubit, so under the swap rule a unit's cause and effect repertoires both
-equal its own reduced state and its integrated information is
-``QID(rho_unit || I/2)``.  The whole-system term vanishes for the dyad
-because a partition cutting a unit's absent self-link removes nothing.
+equal its own reduced state: both directions are the one quantity
+``QID(rho_unit || I/2)``, evaluated once per unit.  The whole-system term
+vanishes for the dyad because a partition cutting a unit's absent self-link
+removes nothing.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfiniteDivergence, NotUnitary, UnsupportedState
-from .model import UNIT_A, UNIT_B
+from .model import UNIT_A, UNIT_B, UNITS
 from .model import swap as _swap_rule
 from .qdyn import DIM, permutation_unitary, validate_density_matrix
 
 _EIG_TOL = 1e-12
 _SUPPORT_ATOL = 1e-10
+_PRODUCT_ATOL = 1e-10
+# einsum of rho.reshape(2, 2, 2, 2) that traces out the other channel
+_REDUCE = {UNIT_A: "abcb->ac", UNIT_B: "abad->bd"}
 
 
 def maximally_mixed(dim: int = 2) -> np.ndarray:
@@ -45,11 +49,11 @@ class SpectralEnsemble:
         return np.einsum("i,ij,ik->jk", self.probs, self.states, self.states.conj())
 
 
-def spectral_ensemble(rho, tol: float = _EIG_TOL) -> SpectralEnsemble:
+def spectral_ensemble(rho) -> SpectralEnsemble:
     """Spectral decomposition of a qubit or dyad density operator, zero modes dropped."""
     rho = validate_density_matrix(rho, dim=2 if np.shape(rho) == (2, 2) else DIM)
     w, v = np.linalg.eigh(rho)
-    keep = w > tol
+    keep = w > _EIG_TOL
     return SpectralEnsemble(probs=w[keep], states=v[:, keep].T.copy())
 
 
@@ -111,28 +115,27 @@ def unitary_step(rho, u) -> np.ndarray:
 def partial_trace(rho, keep: str) -> np.ndarray:
     """Reduced state of one channel; index convention |a,b> = |a> x |b>."""
     rho = validate_density_matrix(rho)
+    if keep not in _REDUCE:
+        raise ValueError(f"unknown unit {keep!r}")
+    return np.einsum(_REDUCE[keep], rho.reshape(2, 2, 2, 2))
+
+
+def _product_marginals(state) -> dict[str, np.ndarray]:
+    """Both channels' reduced states of a product state, keyed by unit.
+
+    Validates ``state`` once and raises ``UnsupportedState`` when it is not
+    the product of its two reduced states.
+    """
+    rho = validate_density_matrix(state)
     r = rho.reshape(2, 2, 2, 2)
-    if keep == UNIT_A:
-        return np.einsum("abcb->ac", r)
-    if keep == UNIT_B:
-        return np.einsum("abad->bd", r)
-    raise ValueError(f"unknown unit {keep!r}")
-
-
-def is_product_state(rho, atol: float = 1e-10) -> bool:
-    rho = validate_density_matrix(rho)
-    rho_a = partial_trace(rho, UNIT_A)
-    rho_b = partial_trace(rho, UNIT_B)
-    return bool(np.max(np.abs(rho - np.kron(rho_a, rho_b))) <= atol)
-
-
-def _unit_state(state, unit: str) -> np.ndarray:
-    if not is_product_state(state):
+    marginals = {unit: np.einsum(spec, r) for unit, spec in _REDUCE.items()}
+    residual = np.max(np.abs(rho - np.kron(marginals[UNIT_A], marginals[UNIT_B])))
+    if not residual <= _PRODUCT_ATOL:  # a NaN residual is no product either
         raise UnsupportedState(
             "integrated information is only defined here for product states "
             "of the two channels; entangled inputs are rejected"
         )
-    return partial_trace(state, unit)
+    return marginals
 
 
 def quantum_phi_unit(unit: str, state, direction: str) -> float:
@@ -145,10 +148,9 @@ def quantum_phi_unit(unit: str, state, direction: str) -> float:
     """
     if direction not in ("cause", "effect"):
         raise ValueError("direction must be 'cause' or 'effect'")
-    if unit not in (UNIT_A, UNIT_B):
+    if unit not in UNITS:
         raise ValueError(f"unknown unit {unit!r}")
-    rho_unit = _unit_state(state, unit)
-    return qid(rho_unit, maximally_mixed(2))
+    return qid(_product_marginals(state)[unit], maximally_mixed(2))
 
 
 @dataclass(frozen=True)
@@ -172,17 +174,14 @@ class QuantumPhiReport:
 def quantum_big_phi(state) -> QuantumPhiReport:
     """Total integrated information phi(A) + phi(B) + phi(AB) of the dyad.
 
-    phi(AB) is identically zero: the whole system admits a partition across
-    a unit's absent self-link, which removes no information.
+    A unit's phi is min(cause, effect), and under the swap rule both
+    directions are the one QID(rho_unit || I/2) of :func:`quantum_phi_unit`,
+    so each unit takes one QID of its reduced state.  phi(AB) is identically
+    zero: the whole system admits a partition across a unit's absent
+    self-link, which removes no information.
     """
-    phi_a = min(
-        quantum_phi_unit(UNIT_A, state, "cause"),
-        quantum_phi_unit(UNIT_A, state, "effect"),
-    )
-    phi_b = min(
-        quantum_phi_unit(UNIT_B, state, "cause"),
-        quantum_phi_unit(UNIT_B, state, "effect"),
-    )
+    marginals = _product_marginals(state)
+    phi_a, phi_b = (qid(marginals[unit], maximally_mixed(2)) for unit in UNITS)
     phi_ab = 0.0
     return QuantumPhiReport(
         phi_a=phi_a, phi_b=phi_b, phi_ab=phi_ab, big_phi=phi_a + phi_b + phi_ab

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import KLUndefined, NotCrossCoupled
 from .model import ALL_STATES, UNIT_A, UNIT_B, DyadState, Tpm2, other_unit
-from .phi import _cause_detail, _effect_detail
+from .phi import big_phi
 
 ROW_LABELS = ("A_effect", "A_cause", "B_effect", "B_cause")
 
@@ -116,12 +116,12 @@ def build_qshape_iit4(tpm: Tpm2, state: DyadState) -> QShape4Style:
     """Per-part phi values and the partner states they were attained over."""
     if not tpm.is_cross_coupled:
         raise NotCrossCoupled("requires a cross-coupled transition rule")
-    e_a, max_a = _effect_detail(tpm, UNIT_A, state)
-    c_a, _ = _cause_detail(tpm, UNIT_A, state)
-    e_b, max_b = _effect_detail(tpm, UNIT_B, state)
-    c_b, _ = _cause_detail(tpm, UNIT_B, state)
+    report = big_phi(tpm, state)
     return QShape4Style(
-        phi_a=min(c_a, e_a), phi_b=min(c_b, e_b), maximizer_a=max_a, maximizer_b=max_b
+        phi_a=report.phi_a,
+        phi_b=report.phi_b,
+        maximizer_a=report.maximizing_states[UNIT_A]["effect"],
+        maximizer_b=report.maximizing_states[UNIT_B]["effect"],
     )
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadlab import cli, optimizer
+from dyadlab import cli, optimizer, qdyn
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "docs" / "schemas"
@@ -403,6 +403,23 @@ def test_simulate_sde_ensemble_json(capsys):
     assert counted == 200
     assert data["outcomes"]["10"] == 0 and data["outcomes"]["11"] == 0
     assert 0.3 < data["frequencies"]["00"] < 0.7
+
+
+def test_simulate_sde_ensemble_average_at_off_grid_t(capsys):
+    # --t 0.0105 is not a multiple of --dt; the engine stops at its snapped step
+    data = _run_json(
+        capsys,
+        ["simulate", "sde", "--trajectories", "3", "--t", "0.0105", "--dt", "1e-3",
+         "--ensemble-average"],
+    )
+    _validate("simulate_sde", data)
+    records = qdyn.simulate_ensemble(
+        qdyn.prepare_dyad_superposition(), None, cli._default_eigenvalues(), 1.0, 1e-3,
+        0.0105, n_trajectories=3, seed=0, sample_times=[0.0105],
+    )
+    rho = qdyn.ensemble_average(records, at=records[0].times[-1])
+    assert data["ensemble_average"] == {"rho_real": rho.real.tolist(), "rho_imag": rho.imag.tolist()}
+    assert data["t"] == 0.0105
 
 
 def test_simulate_sde_zero_trajectories_exits_2(capsys):

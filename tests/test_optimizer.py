@@ -189,6 +189,18 @@ def test_solve_matches_oracle_property(entries):
     assert _tuples(result) == _tuples(oracle)
 
 
+@pytest.mark.parametrize(
+    "upper, optimal_sum",
+    [((1e-300,) * 6, 0.0), ((5e-10, 2.0, 2.0, 2.0, 2.0, 4.0), 8.0)],
+)
+def test_entries_within_tolerance_impose_no_gap(upper, optimal_sum):
+    table = table_from_upper(upper)
+    result = optimizer.solve(table)
+    oracle = optimizer.grid_oracle(table, granularity=1.0)
+    assert result.optimal_sum == oracle.optimal_sum == optimal_sum
+    assert _tuples(result) == _tuples(oracle)
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         optimizer.validate_table(np.full((4, 4), np.nan))

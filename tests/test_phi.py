@@ -5,13 +5,14 @@ successor) pairs with a uniform prior and derives every conditional by
 summation, independently of the formula path in the library.
 """
 
+import itertools
 import math
 
 import pytest
 
 from dyadlab import model, phi
 from dyadlab.errors import DependencyMismatch, NotCrossCoupled, ZeroMarginal
-from dyadlab.model import ALL_STATES, DyadState, Tpm2, other_unit
+from dyadlab.model import ALL_STATES, UNITS, DyadState, Tpm2, other_unit
 
 ATOL = 1e-12
 
@@ -177,6 +178,47 @@ def test_not_cross_coupled_for_reachable_state_of_constant_rule():
         phi.phi_cause(const, "A", DyadState(0, 0))
     with pytest.raises(NotCrossCoupled):
         phi.phi_effect(model.identity_tpm(), "A", DyadState(0, 0))
+
+
+def _reads(tpm, target, source):
+    """Independently of Tpm2.dependency: does flipping ``source`` ever change ``target``'s successor?"""
+    for s in ALL_STATES:
+        flipped = DyadState(1 - s.a, s.b) if source == "A" else DyadState(s.a, 1 - s.b)
+        if tpm.apply(s).value(target) != tpm.apply(flipped).value(target):
+            return True
+    return False
+
+
+def test_big_phi_zero_marginal_and_flags_on_every_single_reader_rule():
+    rules = []
+    for outputs in itertools.product(range(4), repeat=4):
+        try:
+            rules.append(Tpm2(outputs))
+        except ValueError:  # an output reads both inputs
+            pass
+    assert len(rules) == 36
+    for tpm in rules:
+        successors = [tpm.apply(s) for s in ALL_STATES]
+        for st in ALL_STATES:
+            unreachable = [
+                u for u in UNITS if all(nxt.value(u) != st.value(u) for nxt in successors)
+            ]
+            if unreachable:
+                # checked before the cross-coupling a constant output also lacks
+                with pytest.raises(ZeroMarginal):
+                    phi.big_phi(tpm, st)
+                for u in unreachable:
+                    with pytest.raises(ZeroMarginal):
+                        phi.phi_cause(tpm, u, st)
+                continue
+            expected = []
+            for u in UNITS:
+                partner = other_unit(u)
+                if not _reads(tpm, partner, u):
+                    expected.append(f"{u}:effect:not_cross_coupled")
+                if not _reads(tpm, u, partner):
+                    expected.append(f"{u}:cause:not_cross_coupled")
+            assert phi.big_phi(tpm, st).flags == tuple(expected), (tpm, st)
 
 
 def test_report_json_field_names():

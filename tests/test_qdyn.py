@@ -284,14 +284,15 @@ def _seed_sequence_key(master, index):
 
 def test_trajectory_seed_hash_matches_seed_sequence():
     masters = (0, 1, 2**32 - 1, 2**32, 2**64 + 3)
-    indices = (0, 1, 999, 2**32 - 1, 2**32, 2**32 + 5)
+    indices = (0, 1, 999, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1)
     for master in masters:
         expected = [_seed_sequence_key(master, i) for i in indices]
         assert [qdyn.derive_trajectory_seed(master, i) for i in indices] == expected
         keys = qdyn.derive_trajectory_seed(master, np.array(indices, dtype=np.uint64))
         assert keys.dtype == np.uint64
         assert keys.tolist() == expected
-    for bad in ((-1, 0), (0, -1), (0, np.array([3, -1]))):
+    # an index past 64 bits fits no uint64 array; 2**70 would hash like 2**64
+    for bad in ((-1, 0), (0, -1), (0, np.array([3, -1])), (0, 2**64), (0, 2**70)):
         with pytest.raises(ValueError):
             qdyn.derive_trajectory_seed(*bad)
 

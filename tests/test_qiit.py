@@ -190,6 +190,27 @@ def test_entangled_states_are_rejected():
         qiit.quantum_big_phi(_proj(bell))
 
 
+def test_quantum_big_phi_is_min_over_directions_of_each_unit(rng):
+    for mixed in (False, True):
+        for _ in range(10):
+            parts = [
+                random_density(rng, 2) if mixed else _proj(random_pure(rng, 2)) for _ in range(2)
+            ]
+            rho = np.kron(*parts)
+            report = qiit.quantum_big_phi(rho)
+            for unit, value, part in (("A", report.phi_a, parts[0]), ("B", report.phi_b, parts[1])):
+                directions = [qiit.quantum_phi_unit(unit, rho, d) for d in ("cause", "effect")]
+                assert value == min(directions)
+                assert value == pytest.approx(qiit.qid(part, MM2), abs=1e-9)
+            assert report.big_phi == report.phi_a + report.phi_b
+    bell = np.zeros(4, dtype=complex)
+    bell[1] = bell[2] = 1.0 / math.sqrt(2.0)
+    with pytest.raises(UnsupportedState):
+        qiit.quantum_big_phi(_proj(bell))
+    with pytest.raises(ValueError, match="trace"):
+        qiit.quantum_big_phi(2.0 * MM4)
+
+
 def test_report_json_field_names():
     data = qiit.quantum_big_phi(PLUS0).to_json()
     assert set(data) == {"phi_A", "phi_B", "phi_AB", "big_phi"}

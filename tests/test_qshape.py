@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dyadlab import model, qshape
+from dyadlab import model, phi, qshape
 from dyadlab.errors import KLUndefined, NotCrossCoupled
 from dyadlab.model import ALL_STATES, DyadState
 
@@ -134,6 +134,20 @@ def test_iit4_style_shapes():
     assert qshape.build_qshape_iit4(s, DyadState(0, 0)).maximizer_b == 0
     assert qshape.build_qshape_iit4(s, DyadState(0, 1)).maximizer_a == 0
     assert qshape.build_qshape_iit4(s, DyadState(0, 1)).maximizer_b == 1
+
+
+def test_iit4_style_reads_big_phi(cross_coupled_tpms):
+    for tpm in cross_coupled_tpms:
+        for st_ in ALL_STATES:
+            style = qshape.build_qshape_iit4(tpm, st_)
+            report = phi.big_phi(tpm, st_)
+            assert (style.phi_a, style.phi_b) == (report.phi_a, report.phi_b)
+            assert style.maximizer_a == report.maximizing_states["A"]["effect"]
+            assert style.maximizer_b == report.maximizing_states["B"]["effect"]
+            # each maximizer is the partner's realized next value
+            assert (style.maximizer_a, style.maximizer_b) == (tpm.apply(st_).b, tpm.apply(st_).a)
+            assert style.phi_a == phi.phi_unit(tpm, "A", st_)
+            assert style.phi_b == phi.phi_unit(tpm, "B", st_)
 
 
 def test_iit4_styles_are_pairwise_distinct():
