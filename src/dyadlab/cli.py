@@ -306,6 +306,7 @@ def cmd_simulate_sde(args) -> int:
         ]
         _emit(_csv_text(rows), args.output)
         return 0
+    t_end = records[0].times[-1]  # --t snapped to the step grid, as the engine ran
     counts = {label: 0 for label in model.STATE_LABELS}
     none_count = 0
     for rec in records:
@@ -316,7 +317,7 @@ def cmd_simulate_sde(args) -> int:
     payload = {
         "trajectories": args.trajectories,
         "seed": args.seed,
-        "t": args.t,
+        "t": float(t_end),
         "dt": args.dt,
         "lambda": args.lam,
         "eigenvalues": a.tolist(),
@@ -325,8 +326,7 @@ def cmd_simulate_sde(args) -> int:
         "frequencies": {k: v / args.trajectories for k, v in counts.items()},
     }
     if args.ensemble_average:
-        # the engine's last sample time: --t snapped to the step grid
-        rho = qdyn.ensemble_average(records, at=records[0].times[-1])
+        rho = qdyn.ensemble_average(records, at=t_end)
         payload["ensemble_average"] = {
             "rho_real": rho.real.tolist(),
             "rho_imag": rho.imag.tolist(),
@@ -342,7 +342,8 @@ def _parse_amplitudes(path: str) -> np.ndarray:
     except OSError as exc:
         raise UsageError(f"cannot read amplitudes {path!r}: {exc}")
     try:
-        values = [complex(v[0], v[1]) if isinstance(v, list) else complex(v) for v in data]
+        # a list must be an exact [re, im] pair; complex() refuses any other list
+        values = [complex(*v) if isinstance(v, list) and len(v) == 2 else complex(v) for v in data]
         psi = np.array(values, dtype=complex)
     except (TypeError, ValueError, IndexError):
         raise UsageError(f"invalid amplitudes in {path!r}")

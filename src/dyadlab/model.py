@@ -11,6 +11,7 @@ threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 UNIT_A = "A"
@@ -77,6 +78,17 @@ def _bad_unit(unit):
     raise ValueError(f"unknown unit {unit!r}; expected 'A' or 'B'")
 
 
+def _state_index(value, entry: int) -> int:
+    """``value`` as a state index in 0..3; floats, strings and bools are refused."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if isinstance(value, bool) or index not in (0, 1, 2, 3):
+        raise ValueError(f"successor {entry} is {value!r}, not a state index in 0..3")
+    return index
+
+
 ALL_STATES = tuple(DyadState.from_index(i) for i in range(4))
 STATE_LABELS = tuple(s.label for s in ALL_STATES)
 
@@ -92,8 +104,8 @@ class Tpm2:
     """
 
     def __init__(self, outputs, name: str | None = None):
-        outputs = tuple(int(i) for i in outputs)
-        if len(outputs) != 4 or any(i not in (0, 1, 2, 3) for i in outputs):
+        outputs = tuple(_state_index(v, entry) for entry, v in enumerate(outputs))
+        if len(outputs) != 4:
             raise ValueError("outputs must be four state indices in 0..3")
         self.outputs = outputs
         self.name = name

@@ -22,24 +22,24 @@ Two complementary pictures of the same process:
   with :class:`StepTooLarge`.  Averaging the projectors of many trajectories
   reproduces the ensemble picture.
 
-Randomness is counter-based: a single master seed splits into independent
-per-trajectory streams.  Member ``i`` of an ensemble draws its normals from
-the Philox stream keyed by ``SeedSequence(entropy=master, spawn_key=(i,))``,
-a hash that :func:`derive_trajectory_seed` evaluates over a whole batch of
-indices at once.  Single runs and ensembles share one engine: it integrates
-up to ``_BATCH`` trajectories together, re-keys one Philox generator per
-trajectory instead of building one, and draws the noise ``_NOISE_CHUNK``
-steps at a time, so noise memory is ``_BATCH x _NOISE_CHUNK`` floats however
-long the run.  Its arithmetic does not depend on the batch or the chunking,
-so trajectory ``i`` is reproducible bitwise regardless of how many
-trajectories are run.  An SDE run of more than ``MAX_SDE_STEPS`` steps is
-refused with ValueError.  Ensemble averaging is an order-independent
-reduction over immutable records.
+Randomness is counter-based: Philox gives an independent stream for every
+distinct 128-bit key (Salmon et al., SC'11), so member ``i`` of an ensemble
+with master seed ``m`` draws its normals from the stream keyed
+``m + i * 2**64`` (:func:`derive_trajectory_seed`), the seed in the low
+64-bit word and the index in the high one.  Single runs and ensembles share
+one engine: it integrates up to ``_BATCH`` trajectories together, re-keys
+one Philox generator per trajectory instead of building one, and draws the
+noise ``_NOISE_CHUNK`` steps at a time, so noise memory is
+``_BATCH x _NOISE_CHUNK`` floats however long the run.  Its arithmetic does
+not depend on the batch or the chunking, so trajectory ``i`` is reproducible
+bitwise regardless of how many trajectories are run.  An SDE run of more
+than ``MAX_SDE_STEPS`` steps is refused with ValueError.  Ensemble averaging
+is an order-independent reduction over immutable records.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -325,109 +325,27 @@ class TrajectoryRecord:
         return self.states[-1]
 
 
-# numpy's SeedSequence (pool of four 32-bit words) as integer arithmetic, so
-# that one hash serves a Python int index and a uint64 index array alike.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
+def derive_trajectory_seed(master_seed: int, index: int) -> int:
+    """Philox key of ensemble member ``index``: ``master_seed + index * 2**64``.
 
-
-def _hash_constants(init: int, mult: int, n: int) -> list[tuple[int, int]]:
-    """(xor, multiplier) pairs of ``n`` successive hash calls; they depend on no data."""
-    out = []
-    for _ in range(n):
-        nxt = (init * mult) & _MASK32
-        out.append((init, nxt))
-        init = nxt
-    return out
-
-
-_OUTPUT_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2)
-
-
-def _hashmix(value, xor: int, mult: int):
-    value = ((value ^ xor) * mult) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _mix_into(pool: list, word, consts, skip: int = -1) -> None:
-    """Mix the hash of ``word`` into every pool entry but ``skip``."""
-    for dst in range(_POOL_SIZE):
-        if dst != skip:
-            v = _hashmix(word, *next(consts))
-            r = (((_MIX_MULT_L * pool[dst]) & _MASK32) - ((_MIX_MULT_R * v) & _MASK32)) & _MASK32
-            pool[dst] = r ^ (r >> 16)
-
-
-@functools.lru_cache(maxsize=64)
-def _entropy_pool(master: int) -> tuple[tuple[int, ...], tuple]:
-    """Pool once the run entropy ``master`` is mixed in, and the hash constants
-    of the two spawn-key words that may follow."""
-    words = []
-    while True:
-        words.append(master & _MASK32)
-        master >>= 32
-        if not master:
-            break
-    words += [0] * (_POOL_SIZE - len(words))  # zero-padded because a spawn key follows
-    n_calls = _POOL_SIZE * len(words)  # 4 words, 12 pairs, then 4 per word past the pool
-    consts = _hash_constants(_INIT_A, _MULT_A, n_calls + 2 * _POOL_SIZE)
-    it = iter(consts)
-    pool = [_hashmix(w, *next(it)) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        _mix_into(pool, pool[src], it, skip=src)
-    for w in words[_POOL_SIZE:]:
-        _mix_into(pool, w, it)
-    return tuple(pool), tuple(consts[n_calls:])
-
-
-def _seed_hash(master: int, index):
-    """``SeedSequence(master, spawn_key=(index,)).generate_state(1, uint64)[0]``.
-
-    ``index`` is a Python int or a uint64 array; every product and difference
-    is masked to 32 bits, so both take the same arithmetic.
-    """
-    base, spawn = _entropy_pool(master)
-    pool = list(base)
-    _mix_into(pool, index & _MASK32, iter(spawn[:_POOL_SIZE]))
-    high = index >> 32  # a spawn-key index of 2**32 or more takes a second word
-    if isinstance(index, np.ndarray):
-        wide = high != 0
-        if wide.any():
-            pool2 = list(pool)
-            _mix_into(pool2, high, iter(spawn[_POOL_SIZE:]))
-            pool = [np.where(wide, p2, p) for p, p2 in zip(pool, pool2)]
-    elif high:
-        _mix_into(pool, high, iter(spawn[_POOL_SIZE:]))
-    lo, hi = (_hashmix(w, *c) for w, c in zip(pool, _OUTPUT_CONSTANTS))
-    return lo | (hi << 32)
-
-
-def derive_trajectory_seed(master_seed: int, index):
-    """Per-trajectory stream key for ensemble member ``index``.
-
-    Equals ``SeedSequence(entropy=master_seed, spawn_key=(index,))``'s first
-    uint64.  ``index`` may be an int or an integer array (one key per entry,
-    as a uint64 array).  Feeding a returned key to :func:`sde_trajectory`
+    The master seed is the key's low 64-bit word and the member index its
+    high word, so distinct (seed, index) pairs get distinct keys and hence
+    independent Philox streams.  Feeding the key to :func:`sde_trajectory`
     reproduces the member exactly, independent of batching or total
-    trajectory count.  Raises ValueError for a negative seed or index, or an
-    int index of 2**64 or more, which no uint64 array can hold.
+    trajectory count.  Raises ValueError unless both are integers in
+    [0, 2**64).
     """
-    master = operator.index(master_seed)
-    if master < 0:
-        raise ValueError("master seed must be a non-negative integer")
-    if isinstance(index, np.ndarray):
-        if index.dtype.kind not in "iu":
-            raise TypeError("trajectory indices must be integers")
-        if index.dtype.kind == "i" and np.any(index < 0):
-            raise ValueError("trajectory index must be a non-negative integer")
-        return _seed_hash(master, index.astype(np.uint64, copy=False))
-    index = operator.index(index)
-    if not 0 <= index < 1 << 64:  # the hash takes an index of at most two 32-bit words
+    try:
+        master, index = operator.index(master_seed), operator.index(index)
+    except TypeError:
+        raise ValueError(
+            f"seed {master_seed!r} and trajectory index {index!r} must be integers"
+        ) from None
+    if not 0 <= master < 1 << 64:
+        raise ValueError(f"seed {master} is not in [0, 2**64)")
+    if not 0 <= index < 1 << 64:
         raise ValueError(f"trajectory index {index} is not in [0, 2**64)")
-    return _seed_hash(master, index)
+    return master + (index << 64)
 
 
 def _fresh_philox_state(key) -> dict:
@@ -517,13 +435,12 @@ def _collapse_outcomes(finals: np.ndarray, threshold: float) -> list[int | None]
 
 
 def _trajectories(
-    psi0, h, a, lam, dt, t, n_trajectories, stream_keys, sample_times, collapse_threshold
+    psi0, h, a, lam, dt, t, keys, sample_times, collapse_threshold
 ) -> list[TrajectoryRecord]:
-    """Integrate ``n_trajectories`` trajectories, ``_BATCH`` at a time.
+    """Integrate one trajectory per stream key, ``_BATCH`` at a time.
 
-    ``stream_keys(start, stop)`` returns the stream keys of members
-    ``start .. stop - 1``.  Every input is validated, and the step checked,
-    before it is first called, so a refused run derives no key.
+    ``keys`` is consumed lazily, after every input is validated and the step
+    checked, so a refused run derives no key.
     """
     psi0 = validate_pure_state(psi0)
     a = build_collapse_operator(a)
@@ -533,20 +450,26 @@ def _trajectories(
         raise ValueError("collapse threshold must be finite and in (0, 1]")
     n_steps, steps, times = _time_grid(t, dt, sample_times, max_steps=MAX_SDE_STEPS)
     # |a_i - <A>| <= gap, so the drift factor 1 - (lam/2) dt (a_i - <A>)^2 stays
-    # positive below this bound; past it a step flips the sign of amplitudes
+    # positive below this bound; past it a step flips the sign of amplitudes.
+    # The margin is NaN when gap^2 overflows and lam dt is 0: the step would
+    # then multiply 0 by inf
     gap = float(a.max() - a.min())
     margin = 0.5 * lam * dt * (gap * gap)
-    if margin >= 1.0:
+    if not margin < 1.0:
         raise StepTooLarge(
-            f"Euler-Maruyama step dt={dt:g} makes (lam/2) dt gap^2 = {margin:.6g} >= 1 "
+            f"Euler-Maruyama step dt={dt:g} makes (lam/2) dt gap^2 = {margin:.6g}, not below 1, "
             f"for eigenvalue gap {gap:g}, so the drift factor is not positive; reduce dt"
         )
     eigenvalues = tuple(a.tolist())
+    # A - <A> is unchanged by shifting A by a multiple of the identity; from the
+    # smallest eigenvalue every a_i - <A> stays within the gap instead of
+    # cancelling two large numbers, which overflows for huge equal eigenvalues
+    shifted = a - a.min()
     gen = np.random.Generator(np.random.Philox(0))
     records: list[TrajectoryRecord] = []
-    for start in range(0, n_trajectories, _BATCH):
-        keys = stream_keys(start, min(start + _BATCH, n_trajectories))
-        samples, finals = _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, keys, steps, gen)
+    keys = iter(keys)
+    while batch := list(itertools.islice(keys, _BATCH)):
+        samples, finals = _evolve_sde_batch(psi0, h, shifted, lam, dt, n_steps, batch, steps, gen)
         records.extend(
             TrajectoryRecord(
                 seed=key,
@@ -559,7 +482,7 @@ def _trajectories(
                 hamiltonian=h,
             )
             for key, states, outcome in zip(
-                keys, samples, _collapse_outcomes(finals, collapse_threshold)
+                batch, samples, _collapse_outcomes(finals, collapse_threshold)
             )
         )
     return records
@@ -581,9 +504,7 @@ def sde_trajectory(
     Deterministic given (seed, dt): rerunning with the same arguments
     reproduces every sampled state bitwise.
     """
-    return _trajectories(
-        psi0, h, a, lam, dt, t, 1, lambda start, stop: [seed], sample_times, collapse_threshold
-    )[0]
+    return _trajectories(psi0, h, a, lam, dt, t, [seed], sample_times, collapse_threshold)[0]
 
 
 def simulate_ensemble(
@@ -602,17 +523,13 @@ def simulate_ensemble(
 
     Trajectory ``i`` uses the stream ``derive_trajectory_seed(seed, i)``, so
     its record does not depend on ``n_trajectories`` and equals
-    ``sde_trajectory`` run with that key, bitwise.
+    ``sde_trajectory`` run with that key, bitwise; member 0 is
+    ``sde_trajectory(seed=seed)``.
     """
     if n_trajectories <= 0:
         raise ValueError("n_trajectories must be positive")
-
-    def stream_keys(start: int, stop: int) -> list[int]:
-        return derive_trajectory_seed(seed, np.arange(start, stop, dtype=np.uint64)).tolist()
-
-    return _trajectories(
-        psi0, h, a, lam, dt, t, n_trajectories, stream_keys, sample_times, collapse_threshold
-    )
+    keys = map(derive_trajectory_seed, itertools.repeat(seed), range(n_trajectories))
+    return _trajectories(psi0, h, a, lam, dt, t, keys, sample_times, collapse_threshold)
 
 
 def _same_grid(r1: TrajectoryRecord, r2: TrajectoryRecord) -> bool:

@@ -231,6 +231,7 @@ def test_simulate_lindblad_outside_stability_region_exits_3(capsys):
         ["simulate", "sde", "--t", "1000", "--dt", "1e-9", "--trajectories", "2"],
         ["simulate", "sde", "--t", "1e300", "--dt", "1e-3"],
         ["simulate", "sde", "--seed", "-1"],
+        ["simulate", "sde", "--seed", "18446744073709551616"],
     ],
 )
 def test_out_of_range_numbers_exit_2(argv, capsys):
@@ -366,6 +367,45 @@ def test_qphi_amplitudes_exit_code_contract(amplitudes):
         _assert_contract(*_main_in_process(["qphi", "--amplitudes", path]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(["lindblad", "sde"]),
+    eigenvalues=st.lists(st.sampled_from(_LARGE_EXTREMES), min_size=4, max_size=4),
+)
+def test_simulate_eigenvalues_exit_code_contract(mode, eigenvalues):
+    argv = ["simulate", mode, "--t", "0.01", f"--eigenvalues={','.join(eigenvalues)}"]
+    _assert_contract(*_main_in_process(argv))
+
+
+_TPM_ENTRIES = st.sampled_from([0, 1, 2, 3, -1, 4, 0.5, "1", True, 1e300, math.nan])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from([["phi", "--state", "10"], ["qshape", "--state", "10"], ["distances"]]),
+    entries=st.lists(_TPM_ENTRIES, min_size=4, max_size=4),
+)
+def test_tpm_file_exit_code_contract(command, entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rule.json")
+        with open(path, "w") as fh:
+            json.dump(entries, fh)  # NaN is written as the bare token NaN
+        _assert_contract(*_main_in_process(command + ["--tpm", path]))
+
+
+@pytest.mark.parametrize("command", [["phi", "--state", "10"], ["qshape", "--state", "10"], ["distances"]])
+@pytest.mark.parametrize(
+    "entries", [[0.9, 2, 1, 3], ["0", "2", "1", "3"], [0, 2.0, 1, 3], [0, 2, True, 3]]
+)
+def test_tpm_file_refuses_non_integer_successors(command, entries, tmp_path):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(entries))
+    code, out, err = _main_in_process(command + ["--tpm", str(path)])
+    bad = next(i for i, v in enumerate(entries) if type(v) is not int)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid transition rule in {str(path)!r}: successor {bad} is "), err
+
+
 def test_simulate_sde_single_trajectory_csv(capsys):
     code = cli.main(
         [
@@ -419,7 +459,20 @@ def test_simulate_sde_ensemble_average_at_off_grid_t(capsys):
     )
     rho = qdyn.ensemble_average(records, at=records[0].times[-1])
     assert data["ensemble_average"] == {"rho_real": rho.real.tolist(), "rho_imag": rho.imag.tolist()}
-    assert data["t"] == 0.0105
+    assert data["t"] == records[0].times[-1] == 0.01
+    # a --t below half a step integrates no step, as simulate lindblad reports
+    data = _run_json(capsys, ["simulate", "sde", "--t", "0.0004", "--dt", "1e-3"])
+    _validate("simulate_sde", data)
+    assert data["t"] == 0.0
+
+
+def test_simulate_sde_largest_seed(capsys):
+    data = _run_json(
+        capsys,
+        ["simulate", "sde", "--trajectories", "2", "--t", "0.01", "--seed", "18446744073709551615"],
+    )
+    _validate("simulate_sde", data)
+    assert data["seed"] == 2**64 - 1
 
 
 def test_simulate_sde_zero_trajectories_exits_2(capsys):
@@ -472,6 +525,15 @@ def test_qphi_rejects_non_finite_amplitudes_by_name(tmp_path):
     code, _, err = _main_in_process(["qphi", "--amplitudes", str(path)])
     assert code == 2
     assert err.startswith("error: amplitude 1 is not finite") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("pair", [[1, 0, 99], [1], []])
+def test_qphi_refuses_amplitude_lists_other_than_pairs(pair, tmp_path):
+    path = tmp_path / "amps.json"
+    path.write_text(json.dumps([pair, 0, 0, 0]))
+    code, out, err = _main_in_process(["qphi", "--amplitudes", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid amplitudes"), err
 
 
 def test_qphi_rejects_entangled_amplitudes(tmp_path, capsys):

@@ -262,6 +262,9 @@ def test_sde_refuses_step_with_nonpositive_drift_factor():
             qdyn.sde_trajectory(psi, None, a, 1.0, 1e-3, 0.05, seed=1)
         with pytest.raises(StepTooLarge, match="drift factor"):
             qdyn.simulate_ensemble(psi, None, a, 1.0, 1e-3, 0.05, n_trajectories=3)
+    # gap^2 overflows to inf; without collapse (lam = 0) the margin is 0 * inf
+    with pytest.raises(StepTooLarge, match="drift factor"):
+        qdyn.sde_trajectory(psi, None, (0.0, 1e300, 0.0, 0.0), 0.0, 1e-3, 0.05, seed=1)
 
 
 @pytest.mark.parametrize("h", [np.triu(np.ones((4, 4))), np.eye(3)], ids=["non_hermitian", "3x3"])
@@ -278,23 +281,33 @@ def test_sde_rejects_invalid_hamiltonian(h, monkeypatch):
         qdyn.simulate_ensemble(psi, h, A_REF, 1.0, 1e-3, 0.1, n_trajectories=3)
 
 
-def _seed_sequence_key(master, index):
-    return int(np.random.SeedSequence(entropy=master, spawn_key=(index,)).generate_state(1, np.uint64)[0])
-
-
-def test_trajectory_seed_hash_matches_seed_sequence():
-    masters = (0, 1, 2**32 - 1, 2**32, 2**64 + 3)
-    indices = (0, 1, 999, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1)
-    for master in masters:
-        expected = [_seed_sequence_key(master, i) for i in indices]
-        assert [qdyn.derive_trajectory_seed(master, i) for i in indices] == expected
-        keys = qdyn.derive_trajectory_seed(master, np.array(indices, dtype=np.uint64))
-        assert keys.dtype == np.uint64
-        assert keys.tolist() == expected
-    # an index past 64 bits fits no uint64 array; 2**70 would hash like 2**64
-    for bad in ((-1, 0), (0, -1), (0, np.array([3, -1])), (0, 2**64), (0, 2**70)):
+def test_trajectory_key_is_seed_low_word_and_index_high_word():
+    top = 2**64 - 1
+    for master in (0, 1, top):
+        for index in (0, 1, top):
+            assert qdyn.derive_trajectory_seed(master, index) == master + index * 2**64
+    assert qdyn.derive_trajectory_seed(np.uint64(top), np.int64(3)) == top + 3 * 2**64
+    assert qdyn.derive_trajectory_seed(top, top) == 2**128 - 1
+    for bad in (-1, 2**64, 2**70, 1.0, 0.5, "1", None, np.array([1, 2]), np.array([0], dtype=np.uint64)):
         with pytest.raises(ValueError):
-            qdyn.derive_trajectory_seed(*bad)
+            qdyn.derive_trajectory_seed(bad, 0)
+        with pytest.raises(ValueError):
+            qdyn.derive_trajectory_seed(0, bad)
+
+
+def test_ensemble_members_run_on_the_key_layout():
+    # member 0 of master seed m is sde_trajectory(seed=m); the others follow m + i * 2**64
+    psi = np.ones(4, dtype=complex) / 2.0
+    h = qdyn.swap_hamiltonian()
+    master = 2**64 - 1
+    n = qdyn._BATCH + 1
+    records = qdyn.simulate_ensemble(psi, h, A_REF, 1.0, 1e-3, 0.01, n_trajectories=n, seed=master)
+    for i in (0, qdyn._BATCH - 1, qdyn._BATCH):
+        assert records[i].seed == master + i * 2**64
+    solo = qdyn.sde_trajectory(psi, h, A_REF, 1.0, 1e-3, 0.01, seed=master)
+    assert np.array_equal(records[0].states, solo.states)
+    with pytest.raises(ValueError, match="seed"):
+        qdyn.simulate_ensemble(psi, h, A_REF, 1.0, 1e-3, 0.01, n_trajectories=2, seed=2**64)
 
 
 def test_chunked_noise_equals_one_shot_philox_draws():
