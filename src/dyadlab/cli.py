@@ -31,16 +31,8 @@ MAX_CSV_ROWS = 10**5
 
 CSV_COLUMNS = (
     "time",
-    "p00",
-    "p01",
-    "p10",
-    "p11",
-    "coh_01",
-    "coh_02",
-    "coh_03",
-    "coh_12",
-    "coh_13",
-    "coh_23",
+    *(f"p{label}" for label in model.STATE_LABELS),
+    *(f"coh_{i}{k}" for i, k in qdyn.COHERENCE_PAIRS),
 )
 
 
@@ -210,11 +202,9 @@ def _initial_pure_state(args) -> np.ndarray:
         if i == k:
             raise UsageError("--pair needs two distinct states")
         return qdyn.basis_superposition(i, k)
-    if args.initial == "plus0":
-        return qdyn.prepare_dyad_superposition()
     if args.initial == "uniform":
         return np.ones(4, dtype=complex) / 2.0
-    return None  # unreachable; argparse restricts choices
+    return qdyn.prepare_dyad_superposition()  # plus0, also when --initial is absent
 
 
 def _default_eigenvalues() -> np.ndarray:
@@ -391,7 +381,8 @@ def _add_common_sim_args(parser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--pair", nargs=2, metavar=("S1", "S2"),
                        help="start in an equal superposition of two basis states")
-    group.add_argument("--initial", choices=("plus0", "uniform"), default="plus0",
+    # no default: argparse lets a flag equal to its default through a mutually exclusive group
+    group.add_argument("--initial", choices=("plus0", "uniform"),
                        help="named initial state (default: plus0)")
     parser.add_argument("--samples", type=int, default=51, help="rows in CSV time series")
     parser.add_argument("--format", choices=("json", "csv"), default="json")

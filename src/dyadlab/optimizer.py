@@ -15,6 +15,8 @@ w ordered the same way, induction gives greedy_k <= w_k - w_min, so
 each ordering's greedy completion dominates every feasible point with that
 ordering; collecting the completions of minimal sum therefore yields the
 exact minimizer set.  An independent lattice search cross-checks this.
+Both searches, and :func:`feasible`, test points with one array rule,
+:func:`_feasible`, applied to many points at once.
 """
 
 from __future__ import annotations
@@ -112,19 +114,19 @@ def validate_table(table) -> np.ndarray:
 
 def feasible(assignment: EigenAssignment, table) -> bool:
     """True iff all eigenvalues are non-negative and every gap is satisfied,
-    both within ``TOLERANCE``."""
-    return _feasible(assignment.as_tuple(), validate_table(table))
+    both within ``TOLERANCE``; a NaN eigenvalue satisfies neither, and two
+    infinite ones leave their gap unmet."""
+    return bool(_feasible(assignment.as_array()[None, :], validate_table(table))[0])
 
 
-def _feasible(values, table: np.ndarray) -> bool:
-    """:func:`feasible` for four values and an already validated table."""
-    if any(v < -TOLERANCE for v in values):
-        return False
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if abs(values[i] - values[j]) < table[i, j] - TOLERANCE:
-                return False
-    return True
+def _feasible(points: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Row mask of the ``(n, 4)`` points that :func:`feasible` accepts, for an
+    already validated table."""
+    mask = np.all(points >= -TOLERANCE, axis=1)
+    with np.errstate(invalid="ignore"):  # the gap of two infinite values is NaN: not met
+        for i, j in itertools.combinations(range(4), 2):
+            mask &= np.abs(points[:, i] - points[:, j]) >= table[i, j] - TOLERANCE
+    return mask
 
 
 def pairwise_rate_sum(assignment: EigenAssignment) -> float:
@@ -146,18 +148,16 @@ def _greedy_completion(order, table) -> tuple:
     return tuple(values)
 
 
-def _collect(points, table) -> OptimizationResult:
-    feas = [p for p in points if _feasible(p, table)]
-    if not feas:
+def _collect(points: np.ndarray) -> OptimizationResult:
+    """Minimizer set of the ``(n, 4)`` feasible points: those of least sum,
+    one for each 9-digit rounding (the last one given), sorted."""
+    if not len(points):
         raise InfeasibleTable("no assignment satisfies the gap constraints")
-    best = min(sum(p) for p in feas)
-    seen = {}
-    for p in feas:
-        if sum(p) <= best + TOLERANCE:
-            seen[tuple(round(v, 9) for v in p)] = p
-    minimizers = tuple(
-        EigenAssignment.from_values(p) for p in sorted(seen.values())
-    )
+    sums = points.sum(axis=1)
+    best = sums.min()
+    near = points[sums <= best + TOLERANCE]
+    seen = dict(zip(map(tuple, np.round(near, 9).tolist()), map(tuple, near.tolist())))
+    minimizers = tuple(EigenAssignment.from_values(p) for p in sorted(seen.values()))
     return OptimizationResult(
         minimizers=minimizers,
         optimal_sum=float(best),
@@ -170,10 +170,8 @@ def solve(table) -> OptimizationResult:
     table = validate_table(table)
     # a gap of at most TOLERANCE is met by equal values, so it places nothing
     placed = np.where(table <= TOLERANCE, 0.0, table)
-    points = [
-        _greedy_completion(order, placed) for order in itertools.permutations(range(4))
-    ]
-    return _collect(points, table)
+    points = np.array([_greedy_completion(o, placed) for o in itertools.permutations(range(4))])
+    return _collect(points[_feasible(points, table)])
 
 
 def grid_oracle(table, granularity: float = 1.0, bound: float | None = None) -> OptimizationResult:
@@ -201,16 +199,9 @@ def grid_oracle(table, granularity: float = 1.0, bound: float | None = None) -> 
             f"{per_axis:.3g}^3 points, more than {MAX_LATTICE_POINTS}; use a coarser granularity"
         )
     axis = np.arange(0.0, bound + granularity / 2, granularity)
-    points = set()
     free = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    for pinned in range(4):
-        grid = np.zeros((free.shape[0], 4))
-        cols = [c for c in range(4) if c != pinned]
-        grid[:, cols] = free
-        mask = np.ones(len(grid), dtype=bool)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                mask &= np.abs(grid[:, i] - grid[:, j]) >= table[i, j] - TOLERANCE
-        for row in grid[mask]:
-            points.add(tuple(row))
-    return _collect(sorted(points), table)
+    # each pinned grid is built, filtered and dropped in turn, to keep the peak at one
+    grids = (np.insert(free, pinned, 0.0, axis=1) for pinned in range(4))
+    kept = [grid[_feasible(grid, table)] for grid in grids]
+    # distinct rows in sorted order: each 9-digit rounding keeps its largest point
+    return _collect(np.unique(np.concatenate(kept), axis=0))

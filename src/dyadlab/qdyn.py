@@ -22,6 +22,9 @@ Two complementary pictures of the same process:
   with :class:`StepTooLarge`.  Averaging the projectors of many trajectories
   reproduces the ensemble picture.
 
+Both pictures see ``A`` only through ``lam``, so with ``lam = 0`` they
+integrate with ``A = 0`` and no eigenvalue gap, however large, trips a guard.
+
 Randomness is counter-based: Philox gives an independent stream for every
 distinct 128-bit key (Salmon et al., SC'11), so member ``i`` of an ensemble
 with master seed ``m`` draws its normals from the stream keyed
@@ -280,7 +283,7 @@ def lindblad_path(rho0, h, a, lam: float, dt: float, sample_times) -> tuple[np.n
     if h is None:
         h = np.zeros((DIM, DIM), dtype=complex)
     _, steps, times = _time_grid(max(sample_times), dt, sample_times)
-    inc = _rk4_step_increment(h, a, lam, dt)
+    inc = _rk4_step_increment(h, a if lam else np.zeros(DIM), lam, dt)
     powers = {}
     vec = rho.reshape(DIM * DIM)
     out = []
@@ -350,7 +353,10 @@ def derive_trajectory_seed(master_seed: int, index: int) -> int:
 
 def _fresh_philox_state(key) -> dict:
     """State of ``np.random.Philox(key=key)`` as just constructed."""
-    key = int(key)
+    try:
+        key = operator.index(key)
+    except TypeError:
+        raise ValueError(f"trajectory seed {key!r} must be an integer") from None
     if not 0 <= key < 1 << 128:
         raise ValueError(f"trajectory seed {key} is not in [0, 2**128)")
     return {
@@ -449,11 +455,15 @@ def _trajectories(
     if not (math.isfinite(collapse_threshold) and 0.0 < collapse_threshold <= 1.0):
         raise ValueError("collapse threshold must be finite and in (0, 1]")
     n_steps, steps, times = _time_grid(t, dt, sample_times, max_steps=MAX_SDE_STEPS)
+    # A - <A> is unchanged by shifting A by a multiple of the identity; from the
+    # smallest eigenvalue every a_i - <A> stays within the gap instead of
+    # cancelling two large numbers, which overflows for huge equal eigenvalues
+    shifted = a - a.min() if lam else np.zeros(DIM)
     # |a_i - <A>| <= gap, so the drift factor 1 - (lam/2) dt (a_i - <A>)^2 stays
     # positive below this bound; past it a step flips the sign of amplitudes.
-    # The margin is NaN when gap^2 overflows and lam dt is 0: the step would
-    # then multiply 0 by inf
-    gap = float(a.max() - a.min())
+    # The margin is NaN when gap^2 overflows and lam dt underflows to 0: the
+    # step would then multiply 0 by inf
+    gap = float(shifted.max())
     margin = 0.5 * lam * dt * (gap * gap)
     if not margin < 1.0:
         raise StepTooLarge(
@@ -461,10 +471,6 @@ def _trajectories(
             f"for eigenvalue gap {gap:g}, so the drift factor is not positive; reduce dt"
         )
     eigenvalues = tuple(a.tolist())
-    # A - <A> is unchanged by shifting A by a multiple of the identity; from the
-    # smallest eigenvalue every a_i - <A> stays within the gap instead of
-    # cancelling two large numbers, which overflows for huge equal eigenvalues
-    shifted = a - a.min()
     gen = np.random.Generator(np.random.Philox(0))
     records: list[TrajectoryRecord] = []
     keys = iter(keys)

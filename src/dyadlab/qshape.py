@@ -47,9 +47,6 @@ class QShape:
     rows: np.ndarray
     source_state: DyadState
 
-    def row(self, label: str) -> np.ndarray:
-        return self.rows[ROW_LABELS.index(label)]
-
     def part_point(self, unit: str) -> np.ndarray:
         """The part's effect and cause rows flattened to one 8-vector."""
         if unit == UNIT_A:

@@ -16,7 +16,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyadlab import cli, optimizer, qdyn
@@ -174,7 +174,7 @@ def test_simulate_lindblad_csv(capsys):
     out = capsys.readouterr().out
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0] == ",".join(cli.CSV_COLUMNS)
+    assert lines[0] == "time,p00,p01,p10,p11,coh_01,coh_02,coh_03,coh_12,coh_13,coh_23"
     assert len(lines) == 12
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0
@@ -367,14 +367,30 @@ def test_qphi_amplitudes_exit_code_contract(amplitudes):
         _assert_contract(*_main_in_process(["qphi", "--amplitudes", path]))
 
 
-@settings(max_examples=60, deadline=None)
+_STATES = ["00", "01", "10", "11"]
+_PAIR_VALUES = st.sampled_from(_STATES + ["0", "000", "2", "-1", "nan", ""])
+
+
+@settings(max_examples=120, deadline=None)
 @given(
     mode=st.sampled_from(["lindblad", "sde"]),
     eigenvalues=st.lists(st.sampled_from(_LARGE_EXTREMES), min_size=4, max_size=4),
+    pair=st.none() | st.tuples(_PAIR_VALUES, _PAIR_VALUES),
+    initial=st.none() | st.sampled_from(["plus0", "uniform", "nan", ""]),
 )
-def test_simulate_eigenvalues_exit_code_contract(mode, eigenvalues):
+@example(mode="lindblad", eigenvalues=["0", "1", "0", "1"], pair=("00", "01"), initial="plus0")
+def test_simulate_eigenvalues_exit_code_contract(mode, eigenvalues, pair, initial):
     argv = ["simulate", mode, "--t", "0.01", f"--eigenvalues={','.join(eigenvalues)}"]
-    _assert_contract(*_main_in_process(argv))
+    argv += [] if pair is None else ["--pair", *pair]
+    argv += [] if initial is None else ["--initial", initial]
+    code, out, err = _main_in_process(argv)
+    _assert_contract(code, out, err)
+    # --pair and --initial exclude each other, and a pair is two distinct joint states
+    if pair is None:
+        valid_start = initial in (None, "plus0", "uniform")
+    else:
+        valid_start = initial is None and pair[0] != pair[1] and set(pair) <= set(_STATES)
+    assert valid_start or code == 2, err
 
 
 _TPM_ENTRIES = st.sampled_from([0, 1, 2, 3, -1, 4, 0.5, "1", True, 1e300, math.nan])

@@ -31,14 +31,44 @@ def table_from_upper(entries):
     return table
 
 
+def _scalar_feasible(values, table):
+    """The feasibility rule one point at a time: the reference for the array rule."""
+    tol = optimizer.TOLERANCE
+    pairs = itertools.combinations(range(4), 2)
+    return all(v >= -tol for v in values) and all(
+        abs(values[i] - values[j]) >= table[i, j] - tol for i, j in pairs
+    )
+
+
+def _assert_feasible_cases(cases, table):
+    for values, expected in cases:
+        assert optimizer.feasible(_ea(*values), table) is expected, values
+        assert _scalar_feasible(values, table) is expected, values
+
+
 def test_feasible_frozen_examples():
-    assert optimizer.feasible(_ea(2, 0, 4, 6), SWAP_TABLE)
-    assert not optimizer.feasible(_ea(0, 0, 0, 0), SWAP_TABLE)
-    assert not optimizer.feasible(_ea(2, 0, 4, 5), SWAP_TABLE)
+    cases = [((2, 0, 4, 6), True), ((0, 0, 0, 0), False), ((2, 0, 4, 5), False)]
+    non_finite = [((np.nan, 0, 4, 6), False), ((np.inf, np.inf, 0, 4), False)]
+    _assert_feasible_cases(cases + non_finite, SWAP_TABLE)
+    # a gap of exactly entry - TOLERANCE is met; one ulp less is not
+    gap_table = table_from_upper([2.0, 0, 0, 0, 0, 0])
+    edge = 2.0 - optimizer.TOLERANCE
+    short = np.nextafter(edge, 0.0)
+    _assert_feasible_cases([((0, edge, 0, 0), True), ((0, short, 0, 0), False)], gap_table)
+    # the array rule agrees with the scalar one on every row of a batch
+    values = [0.0, edge, short, 2.0, -optimizer.TOLERANCE, -1.0, np.nan, np.inf]
+    points = np.random.default_rng(0).choice(values, size=(500, 4))
+    mask = optimizer._feasible(points, gap_table)
+    assert mask.tolist() == [_scalar_feasible(p, gap_table) for p in points.tolist()]
+    assert 0 < mask.sum() < len(mask)
 
 
 def test_feasible_rejects_negative_values():
-    assert not optimizer.feasible(_ea(-1, 3, 7, 9), np.zeros((4, 4)))
+    # every value may sit TOLERANCE below zero, and not one ulp further
+    low = -optimizer.TOLERANCE
+    below = np.nextafter(low, -1.0)
+    cases = [((-1, 3, 7, 9), False), ((low, 0, 0, 0), True), ((below, 0, 0, 0), False)]
+    _assert_feasible_cases(cases, np.zeros((4, 4)))
 
 
 def test_solve_swap_table():
@@ -178,6 +208,11 @@ def test_solve_matches_oracle_on_random_integer_tables(rng):
         for m in result.minimizers:
             assert optimizer.feasible(m, table)
             assert min(m.as_tuple()) <= ATOL
+    # half-integer entries on the half-unit lattice
+    for _ in range(12):
+        table = table_from_upper(rng.integers(0, 9, size=6) / 2.0)
+        oracle = optimizer.grid_oracle(table, granularity=0.5)
+        assert _tuples(optimizer.solve(table)) == _tuples(oracle), table
 
 
 @settings(max_examples=40, deadline=None)

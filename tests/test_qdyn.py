@@ -192,6 +192,9 @@ def test_lindblad_refuses_unstable_step_before_integrating():
         qdyn.lindblad_path(rho0, None, A_REF, 1.0, 2.79 / 18.0, [1.0])
     with pytest.raises(StepTooLarge, match="spectral radius"):
         qdyn.lindblad_path(rho0, None, (0.0, 200.0, 0.0, 0.0), 1.0, 1e-3, [1.0])
+    # without collapse (lam = 0) A drops out, so a gap whose square overflows runs
+    _, states = qdyn.lindblad_path(rho0, None, (0.0, 1e300, 0.0, 0.0), 0.0, 1e-3, [0.0, 0.5, 1.0])
+    assert len(states) == 3 and all(np.array_equal(s, rho0) for s in states)
 
 
 def test_lindblad_step_too_large_guard():
@@ -262,9 +265,12 @@ def test_sde_refuses_step_with_nonpositive_drift_factor():
             qdyn.sde_trajectory(psi, None, a, 1.0, 1e-3, 0.05, seed=1)
         with pytest.raises(StepTooLarge, match="drift factor"):
             qdyn.simulate_ensemble(psi, None, a, 1.0, 1e-3, 0.05, n_trajectories=3)
-    # gap^2 overflows to inf; without collapse (lam = 0) the margin is 0 * inf
-    with pytest.raises(StepTooLarge, match="drift factor"):
-        qdyn.sde_trajectory(psi, None, (0.0, 1e300, 0.0, 0.0), 0.0, 1e-3, 0.05, seed=1)
+    # without collapse (lam = 0) A drops out, so a gap whose square overflows runs
+    uniform = np.ones(4, dtype=complex) / 2.0
+    big = (0.0, 1e300, 0.0, 0.0)
+    rec = qdyn.sde_trajectory(uniform, None, big, 0.0, 1e-3, 0.05, seed=1, sample_times=[0.0, 0.02, 0.05])
+    assert rec.eigenvalues == big
+    assert len(rec.states) == 3 and all(np.array_equal(s, uniform) for s in rec.states)
 
 
 @pytest.mark.parametrize("h", [np.triu(np.ones((4, 4))), np.eye(3)], ids=["non_hermitian", "3x3"])
@@ -308,6 +314,10 @@ def test_ensemble_members_run_on_the_key_layout():
     assert np.array_equal(records[0].states, solo.states)
     with pytest.raises(ValueError, match="seed"):
         qdyn.simulate_ensemble(psi, h, A_REF, 1.0, 1e-3, 0.01, n_trajectories=2, seed=2**64)
+    # a fractional key is refused, not truncated to the stream of its integer part
+    for bad in (1.5, 1.0, np.float64(1), "1"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            qdyn.sde_trajectory(psi, h, A_REF, 1.0, 1e-3, 0.01, seed=bad)
 
 
 def test_chunked_noise_equals_one_shot_philox_draws():
