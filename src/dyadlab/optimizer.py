@@ -113,17 +113,17 @@ def validate_table(table) -> np.ndarray:
 
 
 def feasible(assignment: EigenAssignment, table) -> bool:
-    """True iff all eigenvalues are non-negative and every gap is satisfied,
-    both within ``TOLERANCE``; a NaN eigenvalue satisfies neither, and two
-    infinite ones leave their gap unmet."""
+    """True iff all eigenvalues are finite and non-negative and every gap is
+    satisfied, the last two within ``TOLERANCE``; a NaN or infinite
+    eigenvalue is never feasible."""
     return bool(_feasible(assignment.as_array()[None, :], validate_table(table))[0])
 
 
 def _feasible(points: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Row mask of the ``(n, 4)`` points that :func:`feasible` accepts, for an
     already validated table."""
-    mask = np.all(points >= -TOLERANCE, axis=1)
-    with np.errstate(invalid="ignore"):  # the gap of two infinite values is NaN: not met
+    mask = np.all(np.isfinite(points) & (points >= -TOLERANCE), axis=1)
+    with np.errstate(invalid="ignore"):  # the gap of two infinite values is NaN
         for i, j in itertools.combinations(range(4), 2):
             mask &= np.abs(points[:, i] - points[:, j]) >= table[i, j] - TOLERANCE
     return mask

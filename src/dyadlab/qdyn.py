@@ -35,7 +35,13 @@ one Philox generator per trajectory instead of building one, and draws the
 noise ``_NOISE_CHUNK`` steps at a time, so noise memory is
 ``_BATCH x _NOISE_CHUNK`` floats however long the run.  Its arithmetic does
 not depend on the batch or the chunking, so trajectory ``i`` is reproducible
-bitwise regardless of how many trajectories are run.  An SDE run of more
+bitwise regardless of how many trajectories are run.  The engine holds a
+batch as real and imaginary planes, component-major, updated in place.
+Without ``H`` the Euler step scales each amplitude by a real factor, so an
+amplitude that is zero in ``psi0`` stays exactly zero and only the others
+are integrated.  ``<A>`` is still ``p @ a``, and the ``H`` term one complex
+matrix product, on (rows, 4) arrays: their BLAS calls fix the rounding, so
+the planes reproduce the complex-form step bitwise.  An SDE run of more
 than ``MAX_SDE_STEPS`` steps is refused with ValueError.  Ensemble averaging
 is an order-independent reduction over immutable records.
 """
@@ -383,6 +389,12 @@ def _draw_noise(gen: np.random.Generator, streams: list, block: np.ndarray, widt
             streams[row] = bg.state
 
 
+def _planes(z: np.ndarray) -> np.ndarray:
+    """Float view of the complex ``(..., 4)`` array ``z`` with the axes reversed:
+    part (real, imaginary) first, then component, then the leading axes."""
+    return z.view(np.float64).reshape(*z.shape, 2).T
+
+
 def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, keys, sample_steps, gen):
     """Advance one trajectory per stream key; returns (samples, final states).
 
@@ -392,6 +404,24 @@ def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, keys, sample_steps, gen):
     equal one ``standard_normal(n_steps)`` of ``Philox(key=keys[r])``, and
     the arithmetic is identical for any batch size, so single runs and
     ensemble members agree bitwise.
+
+    The state is held as real planes, component-major: ``z[0, j]`` and
+    ``z[1, j]`` are the real and imaginary parts of amplitude ``span[j]``
+    across the rows, so every update is one in-place ufunc over contiguous
+    rows.  Without a Hamiltonian the step multiplies each amplitude by a real
+    factor, so an amplitude that starts at zero stays exactly zero: ``span``
+    is then the evenly spaced run of components covering the non-zero
+    amplitudes of ``psi0``, and the others are zero in every output.  A
+    Hamiltonian couples all four, so ``span`` is all of them.
+
+    The arithmetic is that of the complex form ``psi += gain * psi - 1j dt
+    psi @ h.T; psi /= norm``, bit for bit.  Multiplying by a real ``gain``
+    and dividing by ``norm + 0j`` round each part as multiplying it by
+    ``gain`` and by ``1 / norm`` do, and the planes hold no -0.0 for the
+    two forms to round apart.  ``<A>`` stays ``p @ a`` on a zero-filled
+    C-contiguous (rows, 4) array of populations, and the Hamiltonian term
+    the complex (rows, 4) product filled from the planes: both keep the
+    BLAS call, and so the rounding, of the complex form.
     """
     batch = len(keys)
     if batch == 1:
@@ -400,36 +430,79 @@ def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, keys, sample_steps, gen):
             psi0, h, a, lam, dt, n_steps, [keys[0], keys[0]], sample_steps, gen
         )
         return samples[:1], psi[:1]
-    psi = np.tile(psi0, (batch, 1)).astype(complex)
-    h_t = None if h is None else h.T
+    if h is None:
+        support = np.flatnonzero(psi0)
+        span = slice(support[0], support[-1] + 1, int(np.gcd.reduce(np.diff(support))) or 1)
+    else:
+        span = slice(0, DIM)
+        h_t = h.T
+        h_step = -1j * dt
+        psi = np.empty((batch, DIM), dtype=complex)
+        h_psi = np.empty((batch, DIM), dtype=complex)
+        psi_planes, h_psi_planes = _planes(psi), _planes(h_psi)
+    m = len(range(DIM)[span])
+    z = np.empty((2, m, batch))
+    # adding 0.0 turns a -0.0 part into +0.0, as the first complex step does
+    z[...] = np.stack((psi0.real, psi0.imag))[:, span, None] + 0.0
+    a_span = a[span, None]
     sqrt_dt = math.sqrt(dt)
     sqrt_lam = math.sqrt(lam)
-    out = np.empty((batch, len(sample_steps), DIM), dtype=complex)
+    half_lam_dt = 0.5 * lam * dt
+    pops = np.zeros((batch, DIM))
+    pops_span = pops[:, span].T
+    sq = np.empty_like(z)
+    sq_re, sq_im = sq
+    dz = np.empty_like(z)
+    mean = np.empty(batch)
+    dw = np.empty(batch)
+    centered = np.empty((m, batch))
+    gain = np.empty((m, batch))
+    norm_terms = np.empty((m, batch))
+    norm = np.empty(batch)
+    out = np.zeros((batch, len(sample_steps), DIM), dtype=complex)
+    out_planes = _planes(out)
     pos = 0
     if sample_steps and sample_steps[0] == 0:
-        out[:, 0, :] = psi
+        out[:, 0, :] = psi0
         pos = 1
     streams = [_fresh_philox_state(k) for k in keys]
     block = np.empty((batch, min(_NOISE_CHUNK, n_steps)))
+    # the loop is bound by call overhead for small batches: look the ufuncs up once
+    square, add, subtract, multiply = np.square, np.add, np.subtract, np.multiply
     for step in range(n_steps):
         col = step % _NOISE_CHUNK
         if col == 0:
             width = min(_NOISE_CHUNK, n_steps - step)
             _draw_noise(gen, streams, block, width, keep=step + width < n_steps)
-        p = psi.real**2 + psi.imag**2
-        centered = a[None, :] - (p @ a)[:, None]
-        dw = block[:, col] * sqrt_dt
-        gain = sqrt_lam * centered * dw[:, None] - 0.5 * lam * dt * centered**2
-        dpsi = gain * psi
-        if h_t is not None:
-            dpsi = dpsi + (-1j * dt) * (psi @ h_t)
-        psi = psi + dpsi
-        norm = np.sqrt((psi.real**2 + psi.imag**2).sum(axis=1))
-        psi = psi / norm[:, None]
+        square(z, out=sq)
+        add(sq_re, sq_im, out=pops_span)
+        np.matmul(pops, a, out=mean)
+        subtract(a_span, mean, out=centered)
+        multiply(sqrt_lam, centered, out=gain)
+        multiply(block[:, col], sqrt_dt, out=dw)
+        multiply(gain, dw, out=gain)
+        square(centered, out=centered)
+        multiply(half_lam_dt, centered, out=centered)
+        subtract(gain, centered, out=gain)
+        multiply(gain, z, out=dz)
+        if h is not None:
+            np.copyto(psi_planes, z)
+            np.matmul(psi, h_t, out=h_psi)
+            multiply(h_step, h_psi, out=h_psi)
+            add(dz, h_psi_planes, out=dz)
+        add(z, dz, out=z)
+        square(z, out=sq)
+        add(sq_re, sq_im, out=norm_terms)
+        add.reduce(norm_terms, axis=0, out=norm)
+        np.sqrt(norm, out=norm)
+        np.divide(1.0, norm, out=norm)
+        multiply(z, norm, out=z)
         if pos < len(sample_steps) and sample_steps[pos] == step + 1:
-            out[:, pos, :] = psi
+            out_planes[:, span, pos] = z
             pos += 1
-    return out, psi
+    final = np.zeros((batch, DIM), dtype=complex)
+    _planes(final)[:, span] = z
+    return out, final
 
 
 def _collapse_outcomes(finals: np.ndarray, threshold: float) -> list[int | None]:
@@ -551,7 +624,8 @@ def _same_grid(r1: TrajectoryRecord, r2: TrajectoryRecord) -> bool:
 
 
 def ensemble_average(trajectories, at: float) -> np.ndarray:
-    """Mean projector over the trajectories at sample time ``at``."""
+    """Mean projector over the trajectories at the sample time nearest ``at``,
+    which must lie within 1e-9 of it."""
     trajectories = list(trajectories)
     if not trajectories:
         raise ValueError("need at least one trajectory")
@@ -559,9 +633,9 @@ def ensemble_average(trajectories, at: float) -> np.ndarray:
     for other in trajectories[1:]:
         if not _same_grid(first, other):
             raise GridMismatch("trajectories do not share grid and parameters")
-    matches = np.nonzero(np.abs(first.times - at) <= 1e-9)[0]
-    if len(matches) == 0:
+    offsets = np.abs(first.times - at)
+    idx = int(np.argmin(offsets))
+    if not offsets[idx] <= 1e-9:
         raise GridMismatch(f"time {at!r} is not on the shared sample grid")
-    idx = int(matches[0])
     stacked = np.stack([r.states[idx] for r in trajectories])
     return np.einsum("ni,nj->ij", stacked, stacked.conj()) / len(trajectories)

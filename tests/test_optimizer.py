@@ -1,6 +1,7 @@
 """Eigenvalue optimization: frozen reference results and lattice cross-checks."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def _scalar_feasible(values, table):
     """The feasibility rule one point at a time: the reference for the array rule."""
     tol = optimizer.TOLERANCE
     pairs = itertools.combinations(range(4), 2)
-    return all(v >= -tol for v in values) and all(
+    return all(math.isfinite(v) and v >= -tol for v in values) and all(
         abs(values[i] - values[j]) >= table[i, j] - tol for i, j in pairs
     )
 
@@ -49,7 +50,10 @@ def _assert_feasible_cases(cases, table):
 def test_feasible_frozen_examples():
     cases = [((2, 0, 4, 6), True), ((0, 0, 0, 0), False), ((2, 0, 4, 5), False)]
     non_finite = [((np.nan, 0, 4, 6), False), ((np.inf, np.inf, 0, 4), False)]
+    non_finite += [((np.inf, 0, 0, 0), False), ((np.inf, np.inf, 0, 0), False)]
     _assert_feasible_cases(cases + non_finite, SWAP_TABLE)
+    # the zero table sets no gap, so these are refused for their values alone
+    _assert_feasible_cases([(values, False) for values, _ in non_finite], np.zeros((4, 4)))
     # a gap of exactly entry - TOLERANCE is met; one ulp less is not
     gap_table = table_from_upper([2.0, 0, 0, 0, 0, 0])
     edge = 2.0 - optimizer.TOLERANCE

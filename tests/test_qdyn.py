@@ -364,6 +364,88 @@ def test_sde_noise_memory_is_bounded_by_the_chunk():
     assert peak < 16 * 2**20
 
 
+def _complex_reference_kernel(psi0, h, a, lam, dt, n_steps, keys, sample_steps, gen):
+    """The engine kernel in complex, row-major form: the bitwise reference."""
+    batch = len(keys)
+    if batch == 1:
+        # numpy rounds a one-row ``p @ a`` differently from the same row in a larger batch.
+        samples, psi = _complex_reference_kernel(
+            psi0, h, a, lam, dt, n_steps, [keys[0], keys[0]], sample_steps, gen
+        )
+        return samples[:1], psi[:1]
+    psi = np.tile(psi0, (batch, 1)).astype(complex)
+    h_t = None if h is None else h.T
+    sqrt_dt = math.sqrt(dt)
+    sqrt_lam = math.sqrt(lam)
+    out = np.empty((batch, len(sample_steps), qdyn.DIM), dtype=complex)
+    pos = 0
+    if sample_steps and sample_steps[0] == 0:
+        out[:, 0, :] = psi
+        pos = 1
+    streams = [qdyn._fresh_philox_state(k) for k in keys]
+    block = np.empty((batch, min(qdyn._NOISE_CHUNK, n_steps)))
+    for step in range(n_steps):
+        col = step % qdyn._NOISE_CHUNK
+        if col == 0:
+            width = min(qdyn._NOISE_CHUNK, n_steps - step)
+            qdyn._draw_noise(gen, streams, block, width, keep=step + width < n_steps)
+        p = psi.real**2 + psi.imag**2
+        centered = a[None, :] - (p @ a)[:, None]
+        dw = block[:, col] * sqrt_dt
+        gain = sqrt_lam * centered * dw[:, None] - 0.5 * lam * dt * centered**2
+        dpsi = gain * psi
+        if h_t is not None:
+            dpsi = dpsi + (-1j * dt) * (psi @ h_t)
+        psi = psi + dpsi
+        norm = np.sqrt((psi.real**2 + psi.imag**2).sum(axis=1))
+        psi = psi / norm[:, None]
+        if pos < len(sample_steps) and sample_steps[pos] == step + 1:
+            out[:, pos, :] = psi
+            pos += 1
+    return out, psi
+
+
+def _oracle_states():
+    tiny = np.array([1.0, 1e-200, 0.0, 0.0], dtype=complex)
+    random = np.array([1.0, 1j]) @ np.random.default_rng(17).normal(size=(2, 4))
+    return {
+        "pair_00_01": qdyn.basis_superposition(0, 1),
+        "pair_00_10": qdyn.basis_superposition(0, 2),
+        "basis_11": np.eye(4, dtype=complex)[3],
+        "uniform": np.ones(4, dtype=complex) / 2.0,
+        "random": random / np.linalg.norm(random),
+        "tiny_amplitude": tiny / np.linalg.norm(tiny),
+    }
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+@pytest.mark.parametrize("with_h", [False, True], ids=["H_none", "H_swap"])
+@pytest.mark.parametrize("state", sorted(_oracle_states()))
+def test_sde_kernel_matches_complex_reference_bitwise(state, with_h, lam, monkeypatch):
+    # 11 steps are noise chunks of 4, 4 and 3; samples at step 0, mid-chunk and the end
+    psi = _oracle_states()[state]
+    h = qdyn.swap_hamiltonian() if with_h else None
+    monkeypatch.setattr(qdyn, "_NOISE_CHUNK", 4)
+    args = (psi, h, A_REF, lam, 2e-3, 0.022)
+    kw = dict(seed=5, sample_times=[0.0, 0.012, 0.022], collapse_threshold=0.5)
+    shifted = np.array(A_REF) - min(A_REF) if lam else np.zeros(4)
+    for n in (1, 2, 5):
+        keys = [qdyn.derive_trajectory_seed(5, i) for i in range(n)]
+        got, want = (
+            kernel(psi, h, shifted, lam, 2e-3, 11, keys, [0, 6, 11], np.random.Generator(np.random.Philox(0)))
+            for kernel in (qdyn._evolve_sde_batch, _complex_reference_kernel)
+        )
+        assert got[0].tobytes() == want[0].tobytes()  # samples
+        assert got[1].tobytes() == want[1].tobytes()  # final states
+    for n in (1, 2, qdyn._BATCH + 1):
+        records = qdyn.simulate_ensemble(*args, n_trajectories=n, **kw)
+        with monkeypatch.context() as patch:
+            patch.setattr(qdyn, "_evolve_sde_batch", _complex_reference_kernel)
+            reference = qdyn.simulate_ensemble(*args, n_trajectories=n, **kw)
+        assert all(r.states.tobytes() == ref.states.tobytes() for r, ref in zip(records, reference))
+        assert [r.outcome for r in records] == [r.outcome for r in reference]
+
+
 def test_sde_refuses_too_many_steps_before_deriving_seeds(monkeypatch):
     psi = qdyn.basis_superposition(0, 1)
 
@@ -485,6 +567,19 @@ def test_ensemble_average_grid_mismatch():
         qdyn.ensemble_average([r1, r2], at=0.2)
     with pytest.raises(GridMismatch):
         qdyn.ensemble_average([r1], at=0.123)
+
+
+def test_ensemble_average_takes_the_nearest_sample():
+    # at dt = 1e-10 every sample from t = 1e-9 on lies within 1e-9 of the last one
+    dt = 1e-10
+    psi = qdyn.basis_superposition(0, 1)
+    rec = qdyn.sde_trajectory(psi, None, A_REF, 1e8, dt, 20 * dt, seed=3, sample_times=np.arange(21) * dt)
+    assert len(rec.times) == 21
+    last = _projector(rec.states[20])
+    assert np.allclose(qdyn.ensemble_average([rec], at=20 * dt), last, rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(_projector(rec.states[10]) - last)) > 0.1
+    with pytest.raises(GridMismatch):
+        qdyn.ensemble_average([rec], at=20 * dt + 1.1e-9)
 
 
 def test_ensemble_average_matches_lindblad_smoke():
