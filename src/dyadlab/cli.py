@@ -46,15 +46,23 @@ def _parse_state(text: str) -> model.DyadState:
     raise UsageError(f"invalid state {text!r}; expected one of {', '.join(model.STATE_LABELS)}")
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at ``path``; ``what`` names it in the UsageError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path!r}: {exc}")
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise UsageError(f"invalid {what} in {path!r}: {exc}")
+
+
 def _parse_tpm(text: str) -> model.Tpm2:
     if text in model.NAMED_TPMS:
         return model.NAMED_TPMS[text]()
+    data = _read_json(text, "transition rule")
     try:
-        with open(text) as fh:
-            data = json.load(fh)
         return model.Tpm2.from_json(data, name=os.path.basename(text))
-    except OSError as exc:
-        raise UsageError(f"cannot read transition rule {text!r}: {exc}")
     except (ValueError, TypeError) as exc:
         raise UsageError(f"invalid transition rule in {text!r}: {exc}")
 
@@ -169,12 +177,9 @@ def cmd_distances(args) -> int:
 def _load_table(path: str | None) -> np.ndarray:
     if path is None:
         return optimizer.SWAP_TABLE
+    data = _read_json(path, "distance table")
     try:
-        with open(path) as fh:
-            data = json.load(fh)
         return optimizer.validate_table(data)
-    except OSError as exc:
-        raise UsageError(f"cannot read table {path!r}: {exc}")
     except ValueError as exc:
         raise UsageError(f"invalid distance table in {path!r}: {exc}")
 
@@ -220,21 +225,18 @@ def _simulation_inputs(args) -> tuple[np.ndarray, np.ndarray]:
     return a, _initial_pure_state(args)
 
 
-def _csv_sample_times(t: float, dt: float, samples: int):
-    """``linspace(0, t, samples)``, or the step grid itself when that is no coarser.
+def _csv_sample_times(t: float, dt: float, samples: int) -> np.ndarray:
+    """``linspace(0, t, rows)``, ``rows`` the smaller of ``samples`` and the grid's steps.
 
-    Sample times snap to the nearest of the ``round(t/dt) + 1`` grid steps, so
-    once ``samples - 1 >= t/dt`` every step is a sample and a finer linspace
-    would only repeat rows.  More than ``MAX_CSV_ROWS`` rows are refused
-    before any of them is built.
+    Sample times snap to the nearest of the ``qdyn.step_count(t, dt) + 1``
+    grid steps, so more rows than steps would only repeat rows; with exactly
+    that many every step is one row.  More than ``MAX_CSV_ROWS`` rows are
+    refused before any of them is built.
     """
-    if not (math.isfinite(t) and math.isfinite(dt) and dt > 0):
-        return [t]  # no grid to sample; the engine names the bad value
-    on_grid = samples - 1 >= t / dt
-    rows = round(t / dt) + 1 if on_grid else samples
+    rows = min(samples, qdyn.step_count(t, dt) + 1)
     if rows > MAX_CSV_ROWS:
         raise UsageError(f"--format csv would print {rows} rows, more than the {MAX_CSV_ROWS} allowed")
-    return np.arange(rows) * dt if on_grid else np.linspace(0.0, t, samples)
+    return np.linspace(0.0, t, rows)
 
 
 def cmd_simulate_lindblad(args) -> int:
@@ -326,11 +328,7 @@ def cmd_simulate_sde(args) -> int:
 
 
 def _parse_amplitudes(path: str) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read amplitudes {path!r}: {exc}")
+    data = _read_json(path, "amplitudes")
     try:
         # a list must be an exact [re, im] pair; complex() refuses any other list
         values = [complex(*v) if isinstance(v, list) and len(v) == 2 else complex(v) for v in data]

@@ -81,8 +81,10 @@ def validate_pure_state(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (DIM,):
         raise ValueError(f"pure state must have {DIM} amplitudes, got shape {psi.shape}")
+    if not np.isfinite(psi).all():
+        raise ValueError("pure state has a non-finite amplitude")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > _STATE_ATOL:
+    if not abs(norm - 1.0) <= _STATE_ATOL:
         raise ValueError(f"pure state norm is {norm!r}, not 1")
     return psi
 
@@ -92,11 +94,13 @@ def validate_density_matrix(rho, dim: int = DIM) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix must be {dim}x{dim}, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > _STATE_ATOL:
+    if not np.isfinite(rho).all():  # before the eigensolver, which fails on them
+        raise ValueError("density matrix has a non-finite entry")
+    if not np.max(np.abs(rho - rho.conj().T)) <= _STATE_ATOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > _STATE_ATOL:
+    if not abs(np.trace(rho) - 1.0) <= _STATE_ATOL:
         raise ValueError("density matrix trace is not 1 within tolerance")
-    if np.min(np.linalg.eigvalsh(rho)) < -_PSD_ATOL:
+    if not np.min(np.linalg.eigvalsh(rho)) >= -_PSD_ATOL:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
     return rho
 
@@ -192,14 +196,19 @@ def _check_hamiltonian(h) -> np.ndarray | None:
     if h is None:
         return None
     h = np.asarray(h, dtype=complex)
-    if h.shape != (DIM, DIM) or np.max(np.abs(h - h.conj().T)) > 1e-10:
+    if not np.isfinite(h).all():
+        raise ValueError("Hamiltonian has a non-finite entry")
+    if h.shape != (DIM, DIM) or not np.max(np.abs(h - h.conj().T)) <= 1e-10:
         raise ValueError("Hamiltonian must be a Hermitian 4x4 matrix")
     return h
 
 
-def _time_grid(
-    t: float, dt: float, sample_times, max_steps: int | None = None
-) -> tuple[int, list[int], np.ndarray]:
+def step_count(t: float, dt: float) -> int:
+    """Steps of ``dt`` that integrate for ``t``: ``round(t / dt)``, half to even.
+
+    Raises ValueError unless ``dt`` is finite and positive, ``t`` finite and
+    non-negative, and ``t / dt`` finite.
+    """
     t, dt = float(t), float(dt)  # Python floats overflow t / dt to inf without a warning
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be finite and positive")
@@ -207,7 +216,14 @@ def _time_grid(
         raise ValueError("duration must be finite and non-negative")
     if not math.isfinite(t / dt):
         raise ValueError(f"duration {t!r} is too many steps of dt={dt!r}")
-    n_steps = int(round(t / dt))
+    return int(round(t / dt))
+
+
+def _time_grid(
+    t: float, dt: float, sample_times, max_steps: int | None = None
+) -> tuple[int, list[int], np.ndarray]:
+    n_steps = step_count(t, dt)
+    t, dt = float(t), float(dt)
     if max_steps is not None and n_steps > max_steps:  # before snapping any sample time
         raise ValueError(
             f"duration {t!r} is {n_steps:.3g} steps of dt={dt!r}, more than the "
@@ -215,6 +231,8 @@ def _time_grid(
         )
     if sample_times is None:
         sample_times = [0.0, t] if n_steps > 0 else [0.0]
+    elif np.size(sample_times) == 0:
+        raise ValueError("sample_times must hold at least one time")
     # np.rint rounds half to even, as round() does
     with np.errstate(over="ignore"):  # a time far past t clips to the last step
         snapped = np.rint(np.asarray(sample_times, dtype=float) / dt)
@@ -288,7 +306,8 @@ def lindblad_path(rho0, h, a, lam: float, dt: float, sample_times) -> tuple[np.n
     h = _check_hamiltonian(h)
     if h is None:
         h = np.zeros((DIM, DIM), dtype=complex)
-    _, steps, times = _time_grid(max(sample_times), dt, sample_times)
+    # an empty sample_times is refused by _time_grid
+    _, steps, times = _time_grid(max(sample_times, default=0.0), dt, sample_times)
     inc = _rk4_step_increment(h, a if lam else np.zeros(DIM), lam, dt)
     powers = {}
     vec = rho.reshape(DIM * DIM)

@@ -1,12 +1,15 @@
 """Density-operator integrated information for the quantum dyad.
 
 Distributions become density operators and the pointwise information measure
-becomes its quantum extension: given spectral ensembles
-``rho = sum_i p_i |psi_i><psi_i|`` and ``sigma = sum_j q_j |phi_j><phi_j|``
-with overlaps ``P_ij = |<psi_i|phi_j>|^2``,
+becomes its quantum extension.  Both measures take density matrices; their
+spectral ensembles ``rho = sum_i p_i |psi_i><psi_i|`` and
+``sigma = sum_j q_j |phi_j><phi_j|`` (:func:`spectral_ensemble`), with
+overlaps ``P_ij = |<psi_i|phi_j>|^2``, give one array of per-eigenstate terms
+``p_i (log2 p_i - sum_j P_ij log2 q_j)``, and
 
-* relative entropy:  ``S(rho||sigma) = sum_i p_i (log2 p_i - sum_j P_ij log2 q_j)``
-* intrinsic difference:  ``QID(rho||sigma) = max_i p_i (log2 p_i - sum_j P_ij log2 q_j)``
+* relative entropy ``S(rho||sigma)`` is its sum,
+* intrinsic difference ``QID(rho||sigma)`` (Barbosa et al., Sci. Rep. 10,
+  18803, 2020) is its maximum.
 
 For pure ``rho`` the two coincide.  Partition noise is the maximally mixed
 qubit, so under the swap rule a unit's cause and effect repertoires both
@@ -38,23 +41,13 @@ def maximally_mixed(dim: int = 2) -> np.ndarray:
     return np.eye(dim, dtype=complex) / dim
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralEnsemble:
-    """Eigenvalues above tolerance with their eigenstates (one per row)."""
-
-    probs: np.ndarray
-    states: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return np.einsum("i,ij,ik->jk", self.probs, self.states, self.states.conj())
-
-
-def spectral_ensemble(rho) -> SpectralEnsemble:
-    """Spectral decomposition of a qubit or dyad density operator, zero modes dropped."""
+def spectral_ensemble(rho) -> tuple[np.ndarray, np.ndarray]:
+    """``(probs, states)`` of a qubit or dyad density operator: eigenvalues
+    above tolerance and their eigenstates, one per row."""
     rho = validate_density_matrix(rho, dim=2 if np.shape(rho) == (2, 2) else DIM)
     w, v = np.linalg.eigh(rho)
     keep = w > _EIG_TOL
-    return SpectralEnsemble(probs=w[keep], states=v[:, keep].T.copy())
+    return w[keep], v[:, keep].T.copy()
 
 
 def _information_terms(p_probs, p_states, q_probs, q_states) -> np.ndarray:
@@ -62,10 +55,6 @@ def _information_terms(p_probs, p_states, q_probs, q_states) -> np.ndarray:
 
     Raises when mass of the first ensemble escapes the second's support.
     """
-    p_probs = np.asarray(p_probs, dtype=float)
-    q_probs = np.asarray(q_probs, dtype=float)
-    p_states = np.asarray(p_states, dtype=complex)
-    q_states = np.asarray(q_states, dtype=complex)
     overlaps = np.abs(p_states.conj() @ q_states.T) ** 2
     coverage = overlaps.sum(axis=1)
     if np.any((p_probs > _EIG_TOL) & (coverage < 1.0 - _SUPPORT_ATOL)):
@@ -74,26 +63,14 @@ def _information_terms(p_probs, p_states, q_probs, q_states) -> np.ndarray:
     return p_probs * (np.log2(p_probs) - cross)
 
 
-def relative_entropy_from_ensembles(p_probs, p_states, q_probs, q_states) -> float:
-    return float(np.sum(_information_terms(p_probs, p_states, q_probs, q_states)))
-
-
-def qid_from_ensembles(p_probs, p_states, q_probs, q_states) -> float:
-    return float(np.max(_information_terms(p_probs, p_states, q_probs, q_states)))
-
-
 def quantum_relative_entropy(rho, sigma) -> float:
     """S(rho || sigma) in bits, via spectral ensembles."""
-    ens_p = spectral_ensemble(rho)
-    ens_q = spectral_ensemble(sigma)
-    return relative_entropy_from_ensembles(ens_p.probs, ens_p.states, ens_q.probs, ens_q.states)
+    return float(np.sum(_information_terms(*spectral_ensemble(rho), *spectral_ensemble(sigma))))
 
 
 def qid(rho, sigma) -> float:
     """Quantum intrinsic difference in bits; equals S(rho||sigma) for pure rho."""
-    ens_p = spectral_ensemble(rho)
-    ens_q = spectral_ensemble(sigma)
-    return qid_from_ensembles(ens_p.probs, ens_p.states, ens_q.probs, ens_q.states)
+    return float(np.max(_information_terms(*spectral_ensemble(rho), *spectral_ensemble(sigma))))
 
 
 def swap_unitary() -> np.ndarray:
@@ -107,7 +84,9 @@ def unitary_step(rho, u) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != rho.shape:
         raise ValueError("unitary and state dimensions differ")
-    if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > 1e-10:
+    if not np.isfinite(u).all():
+        raise ValueError("unitary has a non-finite entry")
+    if not np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= 1e-10:
         raise NotUnitary("matrix is not unitary within tolerance")
     return u @ rho @ u.conj().T
 

@@ -7,10 +7,10 @@ equiprobable bit.  Rows are ordered (A effect, A cause, B effect, B cause).
 
 Distances between Q-shapes are row-wise sums of a distribution distance.
 The default row metric is total variation, which assigns 0 to equal rows and
-1 to rows that differ in all four entries with no free scaling factor.  An
-earth-mover distance under the discrete 0/1 ground metric (in closed form,
-the surplus mass, which equals total variation) and a guarded
-Kullback-Leibler divergence are available for comparison.
+1 to rows that differ in all four entries with no free scaling factor.  The
+earth-mover distance under the discrete 0/1 ground metric is the same
+quantity, so ``emd`` names the total-variation rule; a guarded
+Kullback-Leibler divergence is available for comparison.
 """
 
 from __future__ import annotations
@@ -33,9 +33,11 @@ def validate_distribution(p, atol: float = 1e-12) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (4,):
         raise ValueError(f"distribution must have 4 entries, got shape {p.shape}")
-    if np.any(p < -atol):
+    if not np.isfinite(p).all():
+        raise ValueError("distribution has a non-finite entry")
+    if not (p >= -atol).all():
         raise ValueError("distribution has negative entries")
-    if abs(p.sum() - 1.0) > atol:
+    if not abs(p.sum() - 1.0) <= atol:
         raise ValueError(f"distribution sums to {p.sum()!r}, not 1")
     return p
 
@@ -129,16 +131,11 @@ def total_variation(p, q) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def earth_mover(p, q) -> float:
-    """Minimum-cost transport between two distributions on the 4-point space.
-
-    Under the discrete 0/1 ground metric only mass leaving its site costs, so
-    the optimum is the surplus mass ``sum(max(p - q, 0))``, which equals total
-    variation (Gibbs & Su, Int. Stat. Rev. 70, 419, 2002).
-    """
-    p = validate_distribution(p)
-    q = validate_distribution(q)
-    return float(np.maximum(p - q, 0.0).sum())
+# Earth-mover distance under the discrete 0/1 ground metric: only mass that
+# leaves its site costs, so the optimal transport moves the surplus mass
+# sum(max(p - q, 0)), which is total variation (Gibbs & Su, Int. Stat. Rev.
+# 70, 419, 2002).
+earth_mover = total_variation
 
 
 def kl_divergence(p, q) -> float:

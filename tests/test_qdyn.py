@@ -287,6 +287,30 @@ def test_sde_rejects_invalid_hamiltonian(h, monkeypatch):
         qdyn.simulate_ensemble(psi, h, A_REF, 1.0, 1e-3, 0.1, n_trajectories=3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_hamiltonian_is_refused_by_name(bad):
+    h = qdyn.swap_hamiltonian()
+    h[0, 0] = bad
+    psi = qdyn.basis_superposition(0, 1)
+    with pytest.raises(ValueError, match="Hamiltonian has a non-finite entry"):
+        qdyn.sde_trajectory(psi, h, A_REF, 1.0, 1e-3, 0.1, seed=1)
+    with pytest.raises(ValueError, match="Hamiltonian has a non-finite entry"):
+        qdyn.lindblad_path(_projector(psi), h, A_REF, 1.0, 1e-3, [0.1])
+
+
+def test_empty_sample_times_are_refused():
+    psi = qdyn.basis_superposition(0, 1)
+    for sample_times in ([], np.array([])):
+        with pytest.raises(ValueError, match="sample_times must hold at least one time"):
+            qdyn.lindblad_path(_projector(psi), None, A_REF, 1.0, 1e-3, sample_times)
+        with pytest.raises(ValueError, match="sample_times must hold at least one time"):
+            qdyn.sde_trajectory(psi, None, A_REF, 1.0, 1e-3, 0.1, seed=1, sample_times=sample_times)
+        with pytest.raises(ValueError, match="sample_times must hold at least one time"):
+            qdyn.simulate_ensemble(
+                psi, None, A_REF, 1.0, 1e-3, 0.1, n_trajectories=2, sample_times=sample_times
+            )
+
+
 def test_trajectory_key_is_seed_low_word_and_index_high_word():
     top = 2**64 - 1
     for master in (0, 1, top):
@@ -619,6 +643,28 @@ def test_validate_pure_state():
     with pytest.raises(ValueError):
         qdyn.validate_pure_state(np.array([1.0, 1.0, 0.0, 0.0]))
     qdyn.validate_pure_state(qdyn.basis_superposition(0, 2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_validate_pure_state_refuses_non_finite_amplitudes(bad):
+    psi = np.array([1.0, 0.0, 0.0, bad])
+    with pytest.raises(ValueError, match="pure state has a non-finite amplitude"):
+        qdyn.validate_pure_state(psi)
+    with pytest.raises(ValueError, match="pure state has a non-finite amplitude"):
+        qdyn.sde_trajectory(psi, None, A_REF, 1.0, 1e-3, 0.1, seed=1)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [np.diag([math.nan, 1.0, 0.0, 0.0]), np.full((4, 4), math.nan), np.diag([math.inf, 1.0, 0.0, 0.0])],
+    ids=["nan_population", "all_nan", "inf_population"],
+)
+def test_validate_density_matrix_refuses_non_finite_entries(rho):
+    # named before the eigensolver, which fails on them with a LinAlgError
+    with pytest.raises(ValueError, match="density matrix has a non-finite entry"):
+        qdyn.validate_density_matrix(rho)
+    with pytest.raises(ValueError, match="density matrix has a non-finite entry"):
+        qdyn.lindblad_evolve(rho, None, A_REF, 1.0, 0.1, 1e-3)
 
 
 def test_validate_density_matrix():

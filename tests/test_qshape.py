@@ -1,8 +1,8 @@
 """Q-shape construction, row metrics, and the pairwise distance table.
 
-The library computes the earth-mover distance in closed form (the mass that
-must leave its site under the discrete ground metric); an independent
-16-variable transport linear program, solved by scipy, checks it.
+The library's earth-mover distance is total variation, which the discrete
+0/1 ground metric makes it; the surplus-mass closed form and an independent
+16-variable transport linear program, solved by scipy, check it.
 """
 
 import numpy as np
@@ -117,6 +117,16 @@ def test_all_generated_rows_are_distributions(cross_coupled_tpms):
                 qshape.validate_distribution(row, atol=ATOL)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_distribution_refuses_non_finite_entries(bad):
+    p = np.array([bad, 0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="distribution has a non-finite entry"):
+        qshape.validate_distribution(p)
+    for metric in qshape.METRICS:
+        with pytest.raises(ValueError, match="distribution has a non-finite entry"):
+            qshape.row_distance(p, np.full(4, 0.25), metric)
+
+
 def test_build_qshape_rejects_uncoupled_rules():
     with pytest.raises(NotCrossCoupled):
         qshape.build_qshape(model.identity_tpm(), DyadState(0, 0))
@@ -202,18 +212,16 @@ def _generated_rows(cross_coupled_tpms):
 
 
 def test_tv_metric_axioms_on_generated_rows(cross_coupled_tpms):
-    rows = _generated_rows(cross_coupled_tpms)
-    for p in rows:
-        assert qshape.total_variation(p, p) == 0.0
-        for q in rows:
-            d_pq = qshape.total_variation(p, q)
-            assert d_pq == pytest.approx(qshape.total_variation(q, p), abs=ATOL)
-            if d_pq == 0.0:
-                assert np.allclose(p, q, atol=ATOL)
-            for r in rows:
-                assert d_pq <= qshape.total_variation(p, r) + qshape.total_variation(
-                    r, q
-                ) + ATOL
+    rows = np.array(_generated_rows(cross_coupled_tpms))
+    d = np.array([[qshape.total_variation(p, q) for q in rows] for p in rows])
+    assert np.all(np.diag(d) == 0.0)
+    assert np.all(np.abs(d - d.T) <= ATOL)
+    # close[p, q] is np.allclose(rows[p], rows[q], atol=ATOL)
+    close = np.all(np.isclose(rows[:, None], rows[None, :], atol=ATOL), axis=-1)
+    assert np.all(close[d == 0.0])
+    # triangle[p, q, r]: d(p, q) <= d(p, r) + d(r, q) + ATOL
+    triangle = d[:, :, None] <= d[:, None, :] + d.T[None, :, :] + ATOL
+    assert triangle.all()
 
 
 def test_emd_matches_discrete_closed_form_on_generated_rows(cross_coupled_tpms):
