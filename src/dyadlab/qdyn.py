@@ -12,14 +12,18 @@ Two complementary pictures of the same process:
   fixed-step classical Runge-Kutta (RK4).  The equation is linear, so one
   RK4 step is a fixed 16x16 matrix, built once per run and raised to the
   number of steps between samples.  A step outside RK4's stability region
-  is refused before integrating, with :class:`StepTooLarge`.
+  is refused before integrating, with :class:`StepTooLarge`.  The samples
+  are integrated into one array, ``_GUARD_BLOCK`` at a time, and each block
+  is checked in one pass for drift of trace, Hermiticity and positivity;
+  the first drifted sample raises :class:`StepTooLarge`.
 
 * Trajectory picture.  A pure state follows the stochastic equation
   ``d(psi) = [-iH dt + sqrt(lam) (A - <A>) dW - (lam/2) (A - <A>)^2 dt] psi``
   with a standard Wiener increment ``dW ~ Normal(0, dt)``, integrated by
   Euler-Maruyama with renormalization after every step.  A step with
-  ``(lam/2) dt (max a - min a)^2 >= 1`` is refused before any noise is drawn,
-  with :class:`StepTooLarge`.  Averaging the projectors of many trajectories
+  ``(lam/2) dt (max a - min a)^2 >= 1``, or with ``dt ||H|| >= 1`` for the
+  spectral norm of ``H``, is refused before any noise is drawn, with
+  :class:`StepTooLarge`.  Averaging the projectors of many trajectories
   reproduces the ensemble picture.
 
 Both pictures see ``A`` only through ``lam``, so with ``lam = 0`` they
@@ -72,6 +76,9 @@ MAX_SDE_STEPS = 10**9
 _STATE_ATOL = 1e-10
 _PSD_ATOL = 1e-8
 _GUARD_ATOL = 1e-6
+# Lindblad samples integrated between two guard checks: bounds the guard's
+# temporaries, and how far integration runs past a drifted sample.
+_GUARD_BLOCK = 1024
 # R(0) = 1 exactly on the conserved modes, so a stable RK4 step has spectral
 # radius at most 1 up to the eigenvalue solver's round-off.
 _STABILITY_ATOL = 1e-10
@@ -174,15 +181,29 @@ def trace_distance(rho, sigma) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
 
 
-def _check_guard(rho, where: str):
-    trace_drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-    herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    if trace_drift > _GUARD_ATOL or herm_drift > _GUARD_ATOL or min_eig < -_GUARD_ATOL:
+def _check_guard(rhos: np.ndarray, steps, dt) -> None:
+    """Raise StepTooLarge at the first of the ``(n, 4, 4)`` states ``rhos``,
+    sampled at ``steps`` of ``dt``, whose trace, Hermiticity or positivity
+    drifted past ``_GUARD_ATOL``.
+
+    One array pass over the stack: a state with a non-finite entry fails
+    with a NaN minimum eigenvalue instead of stopping the eigensolver.
+    """
+    tr = np.trace(rhos, axis1=1, axis2=2)
+    trace_drift = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+    adjoint = rhos.conj().transpose(0, 2, 1)
+    herm_drift = np.max(np.abs(rhos - adjoint), axis=(1, 2))
+    herm = 0.5 * (rhos + adjoint)
+    finite = np.isfinite(herm).all(axis=(1, 2))
+    herm[~finite] = 0.0
+    min_eig = np.where(finite, np.min(np.linalg.eigvalsh(herm), axis=1), np.nan)
+    ok = (trace_drift <= _GUARD_ATOL) & (herm_drift <= _GUARD_ATOL) & (min_eig >= -_GUARD_ATOL)
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise StepTooLarge(
-            f"state invariants drifted at {where} "
-            f"(trace {trace_drift:.2e}, hermiticity {herm_drift:.2e}, "
-            f"min eigenvalue {min_eig:.2e}); reduce dt"
+            f"state invariants drifted at t={steps[i] * dt:g} "
+            f"(trace {trace_drift[i]:.2e}, hermiticity {herm_drift[i]:.2e}, "
+            f"min eigenvalue {min_eig[i]:.2e}); reduce dt"
         )
 
 
@@ -290,15 +311,18 @@ def _increment_power(inc: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def lindblad_path(rho0, h, a, lam: float, dt: float, sample_times) -> tuple[np.ndarray, list]:
-    """Integrate the master equation, returning states at the sample times.
+def lindblad_path(rho0, h, a, lam: float, dt: float, sample_times) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the master equation; returns the sample times and the
+    ``(n, 4, 4)`` array of states at them.
 
     RK4 is applied as one precomputed 16x16 step matrix, raised to the number
     of steps between consecutive samples (one power per distinct gap).
     Sample times snap to the nearest step of the fixed grid.  Raises
     ``StepTooLarge`` before integrating when the step lies outside RK4's
     stability region (|dt lambda| <= ~2.785 on the negative real axis), and
-    at a sample when trace, Hermiticity, or positivity drift past 1e-6.
+    when trace, Hermiticity, or positivity drift past 1e-6 at a sample.  That
+    guard checks ``_GUARD_BLOCK`` samples at a time in one array pass, after
+    integrating them, and reports the first drifted sample in time order.
     """
     rho = validate_density_matrix(rho0)
     a = build_collapse_operator(a)
@@ -311,18 +335,20 @@ def lindblad_path(rho0, h, a, lam: float, dt: float, sample_times) -> tuple[np.n
     inc = _rk4_step_increment(h, a if lam else np.zeros(DIM), lam, dt)
     powers = {}
     vec = rho.reshape(DIM * DIM)
-    out = []
+    states = np.empty((len(steps), DIM * DIM), dtype=complex)
     done = 0
-    for target in steps:
-        gap = target - done
-        if gap:
-            if gap not in powers:
-                powers[gap] = _increment_power(inc, gap)
-            vec = vec + powers[gap] @ vec
-            _check_guard(vec.reshape(DIM, DIM), where=f"t={target * dt:g}")
-        out.append(vec.reshape(DIM, DIM).copy())
-        done = target
-    return times, out
+    for start in range(0, len(steps), _GUARD_BLOCK):
+        block = slice(start, start + _GUARD_BLOCK)
+        for i, target in enumerate(steps[block], start):
+            gap = target - done
+            if gap:
+                if gap not in powers:
+                    powers[gap] = _increment_power(inc, gap)
+                vec = vec + powers[gap] @ vec
+            states[i] = vec
+            done = target
+        _check_guard(states[block].reshape(-1, DIM, DIM), steps[block], dt)
+    return times, states.reshape(-1, DIM, DIM)
 
 
 def lindblad_evolve(rho0, h, a, lam: float, t: float, dt: float) -> np.ndarray:
@@ -562,6 +588,14 @@ def _trajectories(
             f"Euler-Maruyama step dt={dt:g} makes (lam/2) dt gap^2 = {margin:.6g}, not below 1, "
             f"for eigenvalue gap {gap:g}, so the drift factor is not positive; reduce dt"
         )
+    if h is not None:
+        # a Python float: dt times a huge norm overflows to inf without a warning
+        h_step = float(dt) * float(np.max(np.abs(np.linalg.eigvalsh(h))))
+        if not h_step < 1.0:
+            raise StepTooLarge(
+                f"Euler-Maruyama step dt={dt:g} makes dt*|H| = {h_step:.6g}, not below 1, "
+                "for the spectral norm |H| of the Hamiltonian; reduce dt"
+            )
     eigenvalues = tuple(a.tolist())
     gen = np.random.Generator(np.random.Philox(0))
     records: list[TrajectoryRecord] = []

@@ -210,6 +210,28 @@ def test_simulate_lindblad_outside_stability_region_exits_3(capsys):
         assert "numerical guard" in capsys.readouterr().err
 
 
+def test_simulate_lindblad_invariant_drift_exits_3_only_when_sampled(capsys):
+    # inside RK4's stability region the state drifts negative at step 1 only:
+    # the CSV grid samples it, JSON samples only --t
+    argv = [
+        "simulate", "lindblad",
+        "--initial", "uniform",
+        "--eigenvalues", "0,0,2,6",
+        "--dt", "0.1519088319088319",
+        "--t", "1",
+    ]
+    assert cli.main(argv + ["--format", "csv", "--samples", "8"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "numerical guard: state invariants drifted at t=0.151909 (trace 0.00e+00, "
+        "hermiticity 0.00e+00, min eigenvalue -1.51e-02); reduce dt\n"
+    )
+    assert cli.main(argv) == 0
+    # --t snaps to 7 steps
+    assert json.loads(capsys.readouterr().out)["t"] == 7 * 0.1519088319088319
+
+
 @pytest.mark.parametrize(
     "argv",
     [

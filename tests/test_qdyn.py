@@ -273,6 +273,103 @@ def test_sde_refuses_step_with_nonpositive_drift_factor():
     assert len(rec.states) == 3 and all(np.array_equal(s, uniform) for s in rec.states)
 
 
+def test_sde_refuses_step_with_dt_times_hamiltonian_norm_at_least_1(monkeypatch):
+    # |swap_hamiltonian()| = pi, so dt |H| = 1 at dt = 1/pi ~ 0.3183
+    psi = qdyn.basis_superposition(0, 1)
+    h = qdyn.swap_hamiltonian()
+    rec = qdyn.sde_trajectory(psi, h, np.zeros(4), 1.0, 0.318, 0.636, seed=1)
+    assert np.allclose(np.linalg.norm(rec.states, axis=1), 1.0, atol=1e-12)
+
+    def no_seeds(master, index):
+        raise AssertionError("a seed was derived before the step was checked")
+
+    monkeypatch.setattr(qdyn, "derive_trajectory_seed", no_seeds)
+    # the second is finite but overflowed to NaN states before this guard
+    for a, scale, dt in ((np.zeros(4), 1.0, 0.3184), (A_REF, 1e300, 1e-3)):
+        with pytest.raises(StepTooLarge, match=r"dt\*\|H\|"):
+            qdyn.sde_trajectory(psi, scale * h, a, 1.0, dt, 10 * dt, seed=1)
+        with pytest.raises(StepTooLarge, match=r"dt\*\|H\|"):
+            qdyn.simulate_ensemble(psi, scale * h, a, 1.0, dt, 10 * dt, n_trajectories=3)
+
+
+# Inside RK4's stability region, yet the unequal RK4 factors of the six
+# coherences leave the uniform state with a negative eigenvalue after one step.
+DRIFT_A = (0.0, 0.0, 2.0, 6.0)
+DRIFT_DT = 0.1519088319088319
+DRIFT_MESSAGE = (
+    "state invariants drifted at t=0.151909 (trace 0.00e+00, hermiticity 0.00e+00, "
+    "min eigenvalue -1.51e-02); reduce dt"
+)
+
+
+@pytest.mark.parametrize("block", [None, 1, 2])
+def test_lindblad_invariant_guard_reports_first_drifted_sample(block, monkeypatch):
+    # only the sample at step 1 drifts (the coherences then decay); with blocks
+    # of 1 it lies in the second block, with blocks of 2 at the end of the first
+    if block is not None:
+        monkeypatch.setattr(qdyn, "_GUARD_BLOCK", block)
+    uniform = np.full((4, 4), 0.25, dtype=complex)
+    sample_times = [k * DRIFT_DT for k in range(6)]
+    with pytest.raises(StepTooLarge) as err:
+        qdyn.lindblad_path(uniform, None, DRIFT_A, 1.0, DRIFT_DT, sample_times)
+    assert str(err.value) == DRIFT_MESSAGE
+
+
+def test_guard_reports_the_earlier_of_two_drifted_samples():
+    states = np.tile(np.eye(4, dtype=complex) / 4.0, (5, 1, 1))
+    states[1, 0, 1] = 1e-3  # Hermiticity drift
+    states[3, 0, 0] += 1e-3  # trace drift
+    states[4] = np.nan  # would stop a stacked eigensolver
+    with pytest.raises(StepTooLarge, match=r"at t=2 \(trace 0.00e\+00, hermiticity 1.00e-03"):
+        qdyn._check_guard(states, [0, 2, 4, 6, 8], 1.0)
+    qdyn._check_guard(states[[0, 2]], [0, 4], 1.0)
+
+
+def _guard_reference(rhos, steps, dt):
+    """The guard's message for the first drifted state, one matrix at a time."""
+    for rho, step in zip(rhos, steps):
+        trace_drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
+        herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
+        min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
+        if max(trace_drift, herm_drift, -min_eig) > 1e-6:
+            return (
+                f"state invariants drifted at t={step * dt:g} "
+                f"(trace {trace_drift:.2e}, hermiticity {herm_drift:.2e}, "
+                f"min eigenvalue {min_eig:.2e}); reduce dt"
+            )
+    return None
+
+
+def test_stacked_guard_matches_per_state_reference(rng):
+    # states near the 1e-6 tolerance, on either side of it
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        psis = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+        rhos = np.einsum("ni,nj->nij", psis, psis.conj())
+        noise = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+        rhos += noise * rng.choice([0.0, 1e-8, 3e-7, 1e-6], size=(n, 1, 1))
+        steps = sorted(rng.choice(10**6, size=n, replace=False).tolist())
+        dt = float(rng.uniform(1e-4, 1.0))
+        expected = _guard_reference(rhos, steps, dt)
+        if expected is None:
+            qdyn._check_guard(rhos, steps, dt)
+        else:
+            with pytest.raises(StepTooLarge) as err:
+                qdyn._check_guard(rhos, steps, dt)
+            assert str(err.value) == expected
+
+
+def test_lindblad_guard_reports_a_sample_that_overflowed():
+    # the coherences' RK4 factor R(-dt/2) = 1 + 5e-11 passes the stability
+    # check, and 1e14 steps then overflow them
+    dt = 5.570587126876889
+    uniform = np.full((4, 4), 0.25, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepTooLarge, match="min eigenvalue nan"):
+            qdyn.lindblad_path(uniform, None, (0.0, 0.0, 0.0, 1.0), 1.0, dt, [1e14 * dt])
+
+
 @pytest.mark.parametrize("h", [np.triu(np.ones((4, 4))), np.eye(3)], ids=["non_hermitian", "3x3"])
 def test_sde_rejects_invalid_hamiltonian(h, monkeypatch):
     psi = qdyn.basis_superposition(0, 1)

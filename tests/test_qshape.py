@@ -241,7 +241,6 @@ def test_emd_matches_discrete_closed_form_on_random_distributions(rng):
         q /= q.sum()
         emd = qshape.earth_mover(p, q)
         assert emd == pytest.approx(emd_discrete_oracle(p, q), abs=1e-9)
-        assert emd == pytest.approx(qshape.total_variation(p, q), abs=1e-9)
 
 
 def test_emd_matches_transport_lp_oracle(rng):
@@ -306,10 +305,17 @@ def test_distance_table_symmetry_zero_diagonal(cross_coupled_tpms):
             assert np.all(table >= 0.0)
 
 
-def test_distance_table_tv_equals_emd_for_swap():
-    tv = qshape.distance_table(model.swap(), metric="tv")
+def test_distance_table_emd_matches_transport_lp_for_swap():
+    # each entry is the row-summed transport cost between two swap Q-shapes
+    shapes = [_swap_shapes()[st_.label] for st_ in ALL_STATES]
+    lp = np.array(
+        [
+            [sum(emd_transport_lp(p, q) for p, q in zip(s1.rows, s2.rows)) for s2 in shapes]
+            for s1 in shapes
+        ]
+    )
     emd = qshape.distance_table(model.swap(), metric="emd")
-    assert np.allclose(tv, emd, atol=1e-9)
+    assert np.allclose(emd, lp, atol=1e-9)
 
 
 def test_part_points_flatten_rows():
