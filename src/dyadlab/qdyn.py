@@ -12,10 +12,11 @@ Two complementary pictures of the same process:
   fixed-step classical Runge-Kutta (RK4).  The equation is linear, so one
   RK4 step is a fixed 16x16 matrix, built once per run and raised to the
   number of steps between samples.  A step outside RK4's stability region
-  is refused before integrating, with :class:`StepTooLarge`.  The samples
-  are integrated into one array, ``_GUARD_BLOCK`` at a time, and each block
-  is checked in one pass for drift of trace, Hermiticity and positivity;
-  the first drifted sample raises :class:`StepTooLarge`.
+  is refused before integrating, with :class:`StepTooLarge`; one that
+  passed that check by round-off is refused when its power overflows.  The
+  samples are integrated into one array, ``_GUARD_BLOCK`` at a time, and
+  each block is checked in one pass for drift of trace, Hermiticity and
+  positivity; the first drifted sample raises :class:`StepTooLarge`.
 
 * Trajectory picture.  A pure state follows the stochastic equation
   ``d(psi) = [-iH dt + sqrt(lam) (A - <A>) dW - (lam/2) (A - <A>)^2 dt] psi``
@@ -37,9 +38,13 @@ with master seed ``m`` draws its normals from the stream keyed
 one engine: it integrates up to ``_BATCH`` trajectories together, re-keys
 one Philox generator per trajectory instead of building one, and draws the
 noise ``_NOISE_CHUNK`` steps at a time, so noise memory is
-``_BATCH x _NOISE_CHUNK`` floats however long the run.  Its arithmetic does
-not depend on the batch or the chunking, so trajectory ``i`` is reproducible
-bitwise regardless of how many trajectories are run.  The engine holds a
+``_BATCH x _NOISE_CHUNK`` floats per process however long the run.  Its
+arithmetic does not depend on the batch, the chunking or the process, so
+trajectory ``i`` is reproducible bitwise regardless of how many trajectories
+are run or where.  A run of several batches on Linux with more than one
+usable core integrates them in forked worker processes, one per core, and
+collects them in order; one batch, one core or another running Python
+thread keeps it in this process, with the same output.  The engine holds a
 batch as real and imaginary planes, component-major, updated in place.
 Without ``H`` the Euler step scales each amplitude by a real factor, so an
 amplitude that is zero in ``psi0`` stays exactly zero and only the others
@@ -52,9 +57,14 @@ is an order-independent reduction over immutable records.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import itertools
 import math
 import operator
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +80,8 @@ COHERENCE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # a time: the noise block holds _BATCH x _NOISE_CHUNK floats (8 MB).
 _BATCH = 1000
 _NOISE_CHUNK = 1024
+# Batches submitted to each pool worker ahead of the one being collected.
+_WINDOW = 2
 # Steps per SDE trajectory; one trajectory of this many takes hours.
 MAX_SDE_STEPS = 10**9
 
@@ -299,15 +311,24 @@ def _increment_power(inc: np.ndarray, n: int) -> np.ndarray:
 
     ``np.linalg.matrix_power(I + S, n)`` would round S against the identity
     and repeat that error n times (about 1e-12 after 1e5 steps); carrying
-    ``S`` keeps the result to round-off.
+    ``S`` keeps the result to round-off.  Raises ``StepTooLarge`` when
+    ``S_n`` overflows: a spectral radius that passed the stability check by
+    round-off, raised to n, can still leave the float range.
     """
     out = np.zeros_like(inc)
-    while n:
-        if n & 1:
-            out = out + inc + out @ inc
-        n >>= 1
-        if n:
-            inc = 2.0 * inc + inc @ inc
+    steps = n
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        while n:
+            if n & 1:
+                out = out + inc + out @ inc
+            n >>= 1
+            if n:
+                inc = 2.0 * inc + inc @ inc
+    if not np.isfinite(out).all():
+        raise StepTooLarge(
+            f"the RK4 step raised to {steps} steps overflows, so some mode of rho "
+            "grows past the float range; reduce dt"
+        )
     return out
 
 
@@ -319,8 +340,9 @@ def lindblad_path(rho0, h, a, lam: float, dt: float, sample_times) -> tuple[np.n
     of steps between consecutive samples (one power per distinct gap).
     Sample times snap to the nearest step of the fixed grid.  Raises
     ``StepTooLarge`` before integrating when the step lies outside RK4's
-    stability region (|dt lambda| <= ~2.785 on the negative real axis), and
-    when trace, Hermiticity, or positivity drift past 1e-6 at a sample.  That
+    stability region (|dt lambda| <= ~2.785 on the negative real axis), when
+    its power for a gap between samples overflows, and when trace,
+    Hermiticity, or positivity drift past 1e-6 at a sample.  That
     guard checks ``_GUARD_BLOCK`` samples at a time in one array pass, after
     integrating them, and reports the first drifted sample in time order.
     """
@@ -440,12 +462,12 @@ def _planes(z: np.ndarray) -> np.ndarray:
     return z.view(np.float64).reshape(*z.shape, 2).T
 
 
-def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, keys, sample_steps, gen):
+def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, sample_steps, keys):
     """Advance one trajectory per stream key; returns (samples, final states).
 
     Row ``r`` draws its Wiener increments from the Philox stream keyed by
     ``keys[r]``, ``_NOISE_CHUNK`` steps at a time into one reused
-    (rows, chunk) block, by re-keying ``gen``'s bit generator.  The draws
+    (rows, chunk) block, by re-keying one Philox bit generator.  The draws
     equal one ``standard_normal(n_steps)`` of ``Philox(key=keys[r])``, and
     the arithmetic is identical for any batch size, so single runs and
     ensemble members agree bitwise.
@@ -472,7 +494,7 @@ def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, keys, sample_steps, gen):
     if batch == 1:
         # numpy rounds a one-row ``p @ a`` differently from the same row in a larger batch.
         samples, psi = _evolve_sde_batch(
-            psi0, h, a, lam, dt, n_steps, [keys[0], keys[0]], sample_steps, gen
+            psi0, h, a, lam, dt, n_steps, sample_steps, [keys[0], keys[0]]
         )
         return samples[:1], psi[:1]
     if h is None:
@@ -510,6 +532,7 @@ def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, keys, sample_steps, gen):
     if sample_steps and sample_steps[0] == 0:
         out[:, 0, :] = psi0
         pos = 1
+    gen = np.random.Generator(np.random.Philox(0))
     streams = [_fresh_philox_state(k) for k in keys]
     block = np.empty((batch, min(_NOISE_CHUNK, n_steps)))
     # the loop is bound by call overhead for small batches: look the ufuncs up once
@@ -558,13 +581,58 @@ def _collapse_outcomes(finals: np.ndarray, threshold: float) -> list[int | None]
     return [w if d else None for w, d in zip(winners.tolist(), decided.tolist())]
 
 
+def _evolve_batches(keys, *args):
+    """Yield ``(keys, samples, finals)`` for each ``_BATCH`` of ``keys``, in order.
+
+    ``args`` are those of :func:`_evolve_sde_batch` up to its keys.  With two
+    batches or more and more than one usable core, the batches run in forked
+    worker processes, one per core up to the number of batches, each with at
+    most ``_WINDOW`` batches submitted ahead, so ``keys`` is still consumed
+    lazily and the caller's work on one batch overlaps the workers' on the
+    next.  The kernel's arithmetic does not depend on the process, so every
+    result is bitwise that of the serial loop.  When the generator finishes,
+    raises or is closed, the pool is shut down, its workers joined and any
+    batch not yet started cancelled.
+    """
+    # workers are forked: only on Linux, and not while another Python thread
+    # runs, since a forked child keeps only this thread and any lock another held
+    cores = 1
+    if sys.platform == "linux" and threading.active_count() == 1:
+        cores = len(os.sched_getaffinity(0))
+    keys = iter(keys)
+    batches = iter(lambda: list(itertools.islice(keys, _BATCH)), [])
+    head = list(itertools.islice(batches, cores))
+    if len(head) < 2:
+        for batch in itertools.chain(head, batches):
+            yield batch, *_evolve_sde_batch(*args, batch)
+        return
+    # imported here so that a CLI start-up loads neither
+    import concurrent.futures
+    import multiprocessing
+
+    pool = concurrent.futures.ProcessPoolExecutor(
+        len(head), mp_context=multiprocessing.get_context("fork")
+    )
+    pending = collections.deque()
+    try:
+        for batch in itertools.chain(head, batches):
+            if len(pending) == _WINDOW * len(head):
+                done, future = pending.popleft()
+                yield done, *future.result()
+            pending.append((batch, pool.submit(_evolve_sde_batch, *args, batch)))
+        for done, future in pending:
+            yield done, *future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _trajectories(
     psi0, h, a, lam, dt, t, keys, sample_times, collapse_threshold
 ) -> list[TrajectoryRecord]:
     """Integrate one trajectory per stream key, ``_BATCH`` at a time.
 
     ``keys`` is consumed lazily, after every input is validated and the step
-    checked, so a refused run derives no key.
+    checked, so a refused run derives no key and forks no worker.
     """
     psi0 = validate_pure_state(psi0)
     a = build_collapse_operator(a)
@@ -597,26 +665,25 @@ def _trajectories(
                 "for the spectral norm |H| of the Hamiltonian; reduce dt"
             )
     eigenvalues = tuple(a.tolist())
-    gen = np.random.Generator(np.random.Philox(0))
     records: list[TrajectoryRecord] = []
-    keys = iter(keys)
-    while batch := list(itertools.islice(keys, _BATCH)):
-        samples, finals = _evolve_sde_batch(psi0, h, shifted, lam, dt, n_steps, batch, steps, gen)
-        records.extend(
-            TrajectoryRecord(
-                seed=key,
-                times=times,
-                states=states,
-                outcome=outcome,
-                eigenvalues=eigenvalues,
-                lam=float(lam),
-                dt=float(dt),
-                hamiltonian=h,
+    batches = _evolve_batches(keys, psi0, h, shifted, lam, dt, n_steps, steps)
+    with contextlib.closing(batches):  # shuts a pool down on any exit
+        for batch, samples, finals in batches:
+            records.extend(
+                TrajectoryRecord(
+                    seed=key,
+                    times=times,
+                    states=states,
+                    outcome=outcome,
+                    eigenvalues=eigenvalues,
+                    lam=float(lam),
+                    dt=float(dt),
+                    hamiltonian=h,
+                )
+                for key, states, outcome in zip(
+                    batch, samples, _collapse_outcomes(finals, collapse_threshold)
+                )
             )
-            for key, states, outcome in zip(
-                batch, samples, _collapse_outcomes(finals, collapse_threshold)
-            )
-        )
     return records
 
 

@@ -315,6 +315,17 @@ def _assert_contract(code, _out, err):
     assert "Warning" not in err, err
 
 
+def test_lindblad_step_power_overflow_exits_3_without_warnings():
+    # the coherences' RK4 factor 1 + 5e-11 passes the stability check; 1e14 steps overflow it
+    code, out, err = _main_in_process(
+        ["simulate", "lindblad", "--initial", "uniform", "--eigenvalues", "0,0,0,1",
+         "--dt", "5.570587126876889", "--t", "5.570587126876889e14"]
+    )
+    _assert_contract(code, out, err)
+    assert code == 3
+    assert "overflows" in err
+
+
 _EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]
 _LARGE_EXTREMES = _EXTREMES + ["1e308"]
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -360,14 +362,13 @@ def test_stacked_guard_matches_per_state_reference(rng):
             assert str(err.value) == expected
 
 
-def test_lindblad_guard_reports_a_sample_that_overflowed():
+def test_lindblad_refuses_a_step_power_that_overflows():
     # the coherences' RK4 factor R(-dt/2) = 1 + 5e-11 passes the stability
-    # check, and 1e14 steps then overflow them
+    # check, and 1e14 steps then overflow them; a numpy warning would fail here
     dt = 5.570587126876889
     uniform = np.full((4, 4), 0.25, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(StepTooLarge, match="min eigenvalue nan"):
-            qdyn.lindblad_path(uniform, None, (0.0, 0.0, 0.0, 1.0), 1.0, dt, [1e14 * dt])
+    with pytest.raises(StepTooLarge, match="raised to 100000000000000 steps overflows"):
+        qdyn.lindblad_path(uniform, None, (0.0, 0.0, 0.0, 1.0), 1.0, dt, [1e14 * dt])
 
 
 @pytest.mark.parametrize("h", [np.triu(np.ones((4, 4))), np.eye(3)], ids=["non_hermitian", "3x3"])
@@ -485,15 +486,16 @@ def test_sde_noise_memory_is_bounded_by_the_chunk():
     assert peak < 16 * 2**20
 
 
-def _complex_reference_kernel(psi0, h, a, lam, dt, n_steps, keys, sample_steps, gen):
+def _complex_reference_kernel(psi0, h, a, lam, dt, n_steps, sample_steps, keys):
     """The engine kernel in complex, row-major form: the bitwise reference."""
     batch = len(keys)
     if batch == 1:
         # numpy rounds a one-row ``p @ a`` differently from the same row in a larger batch.
         samples, psi = _complex_reference_kernel(
-            psi0, h, a, lam, dt, n_steps, [keys[0], keys[0]], sample_steps, gen
+            psi0, h, a, lam, dt, n_steps, sample_steps, [keys[0], keys[0]]
         )
         return samples[:1], psi[:1]
+    gen = np.random.Generator(np.random.Philox(0))
     psi = np.tile(psi0, (batch, 1)).astype(complex)
     h_t = None if h is None else h.T
     sqrt_dt = math.sqrt(dt)
@@ -553,7 +555,7 @@ def test_sde_kernel_matches_complex_reference_bitwise(state, with_h, lam, monkey
     for n in (1, 2, 5):
         keys = [qdyn.derive_trajectory_seed(5, i) for i in range(n)]
         got, want = (
-            kernel(psi, h, shifted, lam, 2e-3, 11, keys, [0, 6, 11], np.random.Generator(np.random.Philox(0)))
+            kernel(psi, h, shifted, lam, 2e-3, 11, [0, 6, 11], keys)
             for kernel in (qdyn._evolve_sde_batch, _complex_reference_kernel)
         )
         assert got[0].tobytes() == want[0].tobytes()  # samples
@@ -565,6 +567,102 @@ def test_sde_kernel_matches_complex_reference_bitwise(state, with_h, lam, monkey
             reference = qdyn.simulate_ensemble(*args, n_trajectories=n, **kw)
         assert all(r.states.tobytes() == ref.states.tobytes() for r, ref in zip(records, reference))
         assert [r.outcome for r in records] == [r.outcome for r in reference]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every os.fork of the test, by its caller's pid; pool workers are forked."""
+    calls = []
+    fork = os.fork
+
+    def recorded_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return calls
+
+
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("with_h", [False, True], ids=["H_none", "H_swap"])
+def test_pooled_batches_match_the_serial_run_bitwise(with_h, monkeypatch, forks):
+    # 11 trajectories in batches of 2 are six batches, the last of one row:
+    # more than the four a two-worker pool keeps in flight
+    monkeypatch.setattr(qdyn, "_BATCH", 2)
+    psi = np.ones(4, dtype=complex) / 2.0
+    h = qdyn.swap_hamiltonian() if with_h else None
+    args = (psi, h, A_REF, 1.0, 1e-3, 0.05)
+    kw = dict(n_trajectories=11, seed=9, sample_times=[0.0, 0.02, 0.05], collapse_threshold=0.3)
+    _cores(monkeypatch, 2)
+    pooled = qdyn.simulate_ensemble(*args, **kw)
+    assert forks == [os.getpid()] * 2
+    _assert_no_child_left()
+    _cores(monkeypatch, 1)
+    serial = qdyn.simulate_ensemble(*args, **kw)
+    assert len(forks) == 2
+    assert [r.seed for r in pooled] == [r.seed for r in serial]
+    assert [r.outcome for r in pooled] == [r.outcome for r in serial]
+    assert all(p.states.tobytes() == s.states.tobytes() for p, s in zip(pooled, serial))
+    assert any(r.outcome is not None for r in pooled)
+    for i in (0, 10):
+        solo = qdyn.sde_trajectory(
+            *args, seed=qdyn.derive_trajectory_seed(9, i), sample_times=kw["sample_times"]
+        )
+        assert pooled[i].states.tobytes() == solo.states.tobytes()
+
+
+def test_a_batch_that_raises_in_a_worker_raises_in_the_caller(monkeypatch, forks):
+    monkeypatch.setattr(qdyn, "_BATCH", 2)
+    _cores(monkeypatch, 2)
+    draw = qdyn._draw_noise
+
+    def draw_failing_for_member_4(gen, streams, block, width, keep):
+        if streams[0]["state"]["key"][1] == 4:  # the member index is the key's high word
+            raise ValueError(f"noise failed in process {os.getpid()}")
+        draw(gen, streams, block, width, keep)
+
+    monkeypatch.setattr(qdyn, "_draw_noise", draw_failing_for_member_4)
+    psi = qdyn.basis_superposition(0, 1)
+    with pytest.raises(ValueError, match="noise failed in process") as err:
+        qdyn.simulate_ensemble(psi, None, A_REF, 1.0, 1e-3, 0.01, n_trajectories=11, seed=1)
+    assert str(os.getpid()) not in str(err.value)
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_one_batch_one_core_or_another_thread_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(qdyn, "_BATCH", 2)
+    psi = qdyn.basis_superposition(0, 1)
+    args = (psi, None, A_REF, 1.0, 1e-3, 0.01)
+    _cores(monkeypatch, 2)
+    qdyn.sde_trajectory(*args, seed=3)
+    assert len(qdyn.simulate_ensemble(*args, n_trajectories=2)) == 2
+    with pytest.raises(StepTooLarge):  # refused before any key or worker
+        qdyn.simulate_ensemble(psi, None, (0.0, 0.0, 0.0, 100.0), 1.0, 1e-3, 0.01, n_trajectories=5)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert len(qdyn.simulate_ensemble(*args, n_trajectories=5)) == 5
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    _cores(monkeypatch, 1)
+    assert len(qdyn.simulate_ensemble(*args, n_trajectories=5)) == 5
+    _assert_no_child_left()
 
 
 def test_sde_refuses_too_many_steps_before_deriving_seeds(monkeypatch):
