@@ -41,10 +41,12 @@ noise ``_NOISE_CHUNK`` steps at a time, so noise memory is
 ``_BATCH x _NOISE_CHUNK`` floats per process however long the run.  Its
 arithmetic does not depend on the batch, the chunking or the process, so
 trajectory ``i`` is reproducible bitwise regardless of how many trajectories
-are run or where.  A run of several batches on Linux with more than one
-usable core integrates them in forked worker processes, one per core, and
-collects them in order; one batch, one core or another running Python
-thread keeps it in this process, with the same output.  The engine holds a
+are run or where.  A run of several batches and at least ``_POOL_MIN_WORK``
+trajectory-steps, on Linux under Python 3.11 or later with more than one
+usable core, integrates them in forked worker processes, one per core, and
+collects them in order.  One batch, less work, one core, another running
+Python thread or a caller that is itself a multiprocessing child keeps the
+run in this process, with the same output.  The engine holds a
 batch as real and imaginary planes, component-major, updated in place.
 Without ``H`` the Euler step scales each amplitude by a real factor, so an
 amplitude that is zero in ``psi0`` stays exactly zero and only the others
@@ -82,6 +84,10 @@ _BATCH = 1000
 _NOISE_CHUNK = 1024
 # Batches submitted to each pool worker ahead of the one being collected.
 _WINDOW = 2
+# Trajectory-steps per call below which an ensemble stays in this process.
+# Forking the workers and joining them costs 30-50 ms on a 2-core host, and
+# pooling broke even near 10^6 (10^4 trajectories x 100 steps).
+_POOL_MIN_WORK = 2_000_000
 # Steps per SDE trajectory; one trajectory of this many takes hours.
 MAX_SDE_STEPS = 10**9
 
@@ -581,29 +587,46 @@ def _collapse_outcomes(finals: np.ndarray, threshold: float) -> list[int | None]
     return [w if d else None for w, d in zip(winners.tolist(), decided.tolist())]
 
 
-def _evolve_batches(keys, *args):
+def _pool_workers(rows: int, n_steps: int) -> int:
+    """Worker processes for an ensemble of ``rows`` trajectories; below 2, none.
+
+    One per usable core, up to the number of batches, once the run holds
+    ``_POOL_MIN_WORK`` trajectory-steps.  Workers are forked, so there are
+    none off Linux; none before Python 3.11, whose executor forks its later
+    workers after starting a thread; none while another Python thread runs,
+    since a forked child keeps only this thread and any lock another held;
+    and none in a multiprocessing child, which may be daemonic (and so may
+    not have children) or one of many (which would each fork as many more).
+    """
+    if rows * n_steps < _POOL_MIN_WORK or sys.platform != "linux":
+        return 1
+    if sys.version_info < (3, 11) or threading.active_count() > 1:
+        return 1
+    mp = sys.modules.get("multiprocessing")  # a multiprocessing child has it loaded
+    if mp is not None and mp.parent_process() is not None:
+        return 1
+    return min(len(os.sched_getaffinity(0)), -(-rows // _BATCH))
+
+
+def _evolve_batches(keys, rows, psi0, h, a, lam, dt, n_steps, sample_steps):
     """Yield ``(keys, samples, finals)`` for each ``_BATCH`` of ``keys``, in order.
 
-    ``args`` are those of :func:`_evolve_sde_batch` up to its keys.  With two
-    batches or more and more than one usable core, the batches run in forked
-    worker processes, one per core up to the number of batches, each with at
-    most ``_WINDOW`` batches submitted ahead, so ``keys`` is still consumed
-    lazily and the caller's work on one batch overlaps the workers' on the
-    next.  The kernel's arithmetic does not depend on the process, so every
-    result is bitwise that of the serial loop.  When the generator finishes,
-    raises or is closed, the pool is shut down, its workers joined and any
-    batch not yet started cancelled.
+    ``keys`` holds ``rows`` stream keys; the other arguments are those of
+    :func:`_evolve_sde_batch`.  When :func:`_pool_workers`
+    gives two or more, the batches run in that many forked worker processes,
+    each with at most ``_WINDOW`` batches submitted ahead, so ``keys`` is
+    still consumed lazily and the caller's work on one batch overlaps the
+    workers' on the next.  The kernel's arithmetic does not depend on the
+    process, so every result is bitwise that of the serial loop.  When the
+    generator finishes, raises or is closed, the pool is shut down, its
+    workers joined and any batch not yet started cancelled.
     """
-    # workers are forked: only on Linux, and not while another Python thread
-    # runs, since a forked child keeps only this thread and any lock another held
-    cores = 1
-    if sys.platform == "linux" and threading.active_count() == 1:
-        cores = len(os.sched_getaffinity(0))
+    args = (psi0, h, a, lam, dt, n_steps, sample_steps)
+    workers = _pool_workers(rows, n_steps)
     keys = iter(keys)
     batches = iter(lambda: list(itertools.islice(keys, _BATCH)), [])
-    head = list(itertools.islice(batches, cores))
-    if len(head) < 2:
-        for batch in itertools.chain(head, batches):
+    if workers < 2:
+        for batch in batches:
             yield batch, *_evolve_sde_batch(*args, batch)
         return
     # imported here so that a CLI start-up loads neither
@@ -611,12 +634,12 @@ def _evolve_batches(keys, *args):
     import multiprocessing
 
     pool = concurrent.futures.ProcessPoolExecutor(
-        len(head), mp_context=multiprocessing.get_context("fork")
+        workers, mp_context=multiprocessing.get_context("fork")
     )
     pending = collections.deque()
     try:
-        for batch in itertools.chain(head, batches):
-            if len(pending) == _WINDOW * len(head):
+        for batch in batches:
+            if len(pending) == _WINDOW * workers:
                 done, future = pending.popleft()
                 yield done, *future.result()
             pending.append((batch, pool.submit(_evolve_sde_batch, *args, batch)))
@@ -627,12 +650,13 @@ def _evolve_batches(keys, *args):
 
 
 def _trajectories(
-    psi0, h, a, lam, dt, t, keys, sample_times, collapse_threshold
+    psi0, h, a, lam, dt, t, keys, rows, sample_times, collapse_threshold
 ) -> list[TrajectoryRecord]:
     """Integrate one trajectory per stream key, ``_BATCH`` at a time.
 
-    ``keys`` is consumed lazily, after every input is validated and the step
-    checked, so a refused run derives no key and forks no worker.
+    ``keys`` holds ``rows`` keys and is consumed lazily, after every input is
+    validated and the step checked, so a refused run derives no key and forks
+    no worker.
     """
     psi0 = validate_pure_state(psi0)
     a = build_collapse_operator(a)
@@ -666,7 +690,7 @@ def _trajectories(
             )
     eigenvalues = tuple(a.tolist())
     records: list[TrajectoryRecord] = []
-    batches = _evolve_batches(keys, psi0, h, shifted, lam, dt, n_steps, steps)
+    batches = _evolve_batches(keys, rows, psi0, h, shifted, lam, dt, n_steps, steps)
     with contextlib.closing(batches):  # shuts a pool down on any exit
         for batch, samples, finals in batches:
             records.extend(
@@ -703,7 +727,7 @@ def sde_trajectory(
     Deterministic given (seed, dt): rerunning with the same arguments
     reproduces every sampled state bitwise.
     """
-    return _trajectories(psi0, h, a, lam, dt, t, [seed], sample_times, collapse_threshold)[0]
+    return _trajectories(psi0, h, a, lam, dt, t, [seed], 1, sample_times, collapse_threshold)[0]
 
 
 def simulate_ensemble(
@@ -728,7 +752,9 @@ def simulate_ensemble(
     if n_trajectories <= 0:
         raise ValueError("n_trajectories must be positive")
     keys = map(derive_trajectory_seed, itertools.repeat(seed), range(n_trajectories))
-    return _trajectories(psi0, h, a, lam, dt, t, keys, sample_times, collapse_threshold)
+    return _trajectories(
+        psi0, h, a, lam, dt, t, keys, n_trajectories, sample_times, collapse_threshold
+    )
 
 
 def _same_grid(r1: TrajectoryRecord, r2: TrajectoryRecord) -> bool:

@@ -1,8 +1,11 @@
 """Collapse dynamics: analytic decay oracles, trajectory statistics, guards."""
 
+import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -592,16 +595,23 @@ def _cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def _small_pool(monkeypatch, min_work=0):
+    """Batches of 2 trajectories, pooled from ``min_work`` trajectory-steps on two cores."""
+    monkeypatch.setattr(qdyn, "_BATCH", 2)
+    monkeypatch.setattr(qdyn, "_POOL_MIN_WORK", min_work)
+    _cores(monkeypatch, 2)
+
+
 @pytest.mark.parametrize("with_h", [False, True], ids=["H_none", "H_swap"])
 def test_pooled_batches_match_the_serial_run_bitwise(with_h, monkeypatch, forks):
     # 11 trajectories in batches of 2 are six batches, the last of one row:
-    # more than the four a two-worker pool keeps in flight
-    monkeypatch.setattr(qdyn, "_BATCH", 2)
+    # more than the four a two-worker pool keeps in flight.  11 x 50 steps is
+    # just enough work to pool
+    _small_pool(monkeypatch, min_work=11 * 50)
     psi = np.ones(4, dtype=complex) / 2.0
     h = qdyn.swap_hamiltonian() if with_h else None
     args = (psi, h, A_REF, 1.0, 1e-3, 0.05)
     kw = dict(n_trajectories=11, seed=9, sample_times=[0.0, 0.02, 0.05], collapse_threshold=0.3)
-    _cores(monkeypatch, 2)
     pooled = qdyn.simulate_ensemble(*args, **kw)
     assert forks == [os.getpid()] * 2
     _assert_no_child_left()
@@ -620,8 +630,7 @@ def test_pooled_batches_match_the_serial_run_bitwise(with_h, monkeypatch, forks)
 
 
 def test_a_batch_that_raises_in_a_worker_raises_in_the_caller(monkeypatch, forks):
-    monkeypatch.setattr(qdyn, "_BATCH", 2)
-    _cores(monkeypatch, 2)
+    _small_pool(monkeypatch)
     draw = qdyn._draw_noise
 
     def draw_failing_for_member_4(gen, streams, block, width, keep):
@@ -638,15 +647,17 @@ def test_a_batch_that_raises_in_a_worker_raises_in_the_caller(monkeypatch, forks
     _assert_no_child_left()
 
 
-def test_one_batch_one_core_or_another_thread_forks_nothing(monkeypatch):
-    def no_fork():
-        raise AssertionError("a worker was forked")
+def _no_fork():
+    raise AssertionError("a worker was forked")
 
-    monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(qdyn, "_BATCH", 2)
+
+def test_one_batch_little_work_one_core_or_another_thread_forks_nothing(monkeypatch):
+    monkeypatch.setattr(os, "fork", _no_fork)
     psi = qdyn.basis_superposition(0, 1)
     args = (psi, None, A_REF, 1.0, 1e-3, 0.01)
-    _cores(monkeypatch, 2)
+    _small_pool(monkeypatch, min_work=5 * 10 + 1)  # one trajectory-step more than 5 x 10
+    assert len(qdyn.simulate_ensemble(*args, n_trajectories=5)) == 5
+    monkeypatch.setattr(qdyn, "_POOL_MIN_WORK", 0)
     qdyn.sde_trajectory(*args, seed=3)
     assert len(qdyn.simulate_ensemble(*args, n_trajectories=2)) == 2
     with pytest.raises(StepTooLarge):  # refused before any key or worker
@@ -660,9 +671,42 @@ def test_one_batch_one_core_or_another_thread_forks_nothing(monkeypatch):
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
+    with monkeypatch.context() as m:
+        # Python 3.10's executor forks its later workers after starting a thread
+        m.setattr(sys, "version_info", (3, 10, 14, "final", 0))
+        assert len(qdyn.simulate_ensemble(*args, n_trajectories=5)) == 5
     _cores(monkeypatch, 1)
     assert len(qdyn.simulate_ensemble(*args, n_trajectories=5)) == 5
     _assert_no_child_left()
+
+
+def _ensemble_without_forking(kw):
+    os.fork = _no_fork  # this process is a worker of the test's own pool
+    return [r.states for r in qdyn.simulate_ensemble(**kw)]
+
+
+@pytest.mark.parametrize("pool_kind", ["Pool", "ProcessPoolExecutor"])
+def test_a_multiprocessing_worker_runs_its_ensemble_in_its_own_process(pool_kind, monkeypatch):
+    # a Pool worker is daemonic, so it may not have children; an executor's
+    # worker may, but each of its siblings would fork as many again
+    _small_pool(monkeypatch)
+    kw = dict(
+        psi0=qdyn.basis_superposition(0, 1), h=None, a=A_REF, lam=1.0, dt=1e-3, t=0.01,
+        n_trajectories=5, seed=4,
+    )
+    fork = multiprocessing.get_context("fork")
+    if pool_kind == "Pool":
+        with fork.Pool(1) as pool:
+            got = pool.apply(_ensemble_without_forking, (kw,))
+            pool.close()
+            pool.join()
+    else:
+        with concurrent.futures.ProcessPoolExecutor(1, mp_context=fork) as pool:
+            got = pool.submit(_ensemble_without_forking, kw).result()
+    _assert_no_child_left()
+    _cores(monkeypatch, 1)
+    want = [r.states for r in qdyn.simulate_ensemble(**kw)]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def test_sde_refuses_too_many_steps_before_deriving_seeds(monkeypatch):
