@@ -34,14 +34,18 @@ Randomness is counter-based: Philox gives an independent stream for every
 distinct 128-bit key (Salmon et al., SC'11), so member ``i`` of an ensemble
 with master seed ``m`` draws its normals from the stream keyed
 ``m + i * 2**64`` (:func:`derive_trajectory_seed`), the seed in the low
-64-bit word and the index in the high one.  Single runs and ensembles share
-one engine: it integrates up to ``_BATCH`` trajectories together, re-keys
-one Philox generator per trajectory instead of building one, and draws the
-noise ``_NOISE_CHUNK`` steps at a time, so noise memory is
-``_BATCH x _NOISE_CHUNK`` floats per process however long the run.  Its
-arithmetic does not depend on the batch, the chunking or the process, so
-trajectory ``i`` is reproducible bitwise regardless of how many trajectories
-are run or where.  A run of several batches and at least ``_POOL_MIN_WORK``
+64-bit word and the index in the high one.  An ensemble's keys are
+therefore one range, ``m, m + 2**64, ...``; checking the last member's key
+checks them all, once, when the engine draws the first.  Single runs and
+ensembles share one engine: it integrates up to ``_BATCH`` trajectories
+together and re-keys one Philox generator per trajectory instead of building
+one.  A stream is fixed by its key alone, so re-keying writes the key's two
+words into one reused state dict; a trajectory's own state is saved only when
+more noise follows.  The engine draws the noise ``_NOISE_CHUNK`` steps at a
+time, so noise memory is ``_BATCH x _NOISE_CHUNK`` floats per process however
+long the run.  Its arithmetic does not depend on the batch, the chunking or
+the process, so trajectory ``i`` is reproducible bitwise regardless of how
+many trajectories are run or where.  A run of several batches and at least ``_POOL_MIN_WORK``
 trajectory-steps, on Linux under Python 3.11 or later with more than one
 usable core, integrates them in forked worker processes, one per core, and
 collects them in order.  One batch, less work, one core, another running
@@ -430,34 +434,34 @@ def derive_trajectory_seed(master_seed: int, index: int) -> int:
     return master + (index << 64)
 
 
-def _fresh_philox_state(key) -> dict:
-    """State of ``np.random.Philox(key=key)`` as just constructed."""
-    try:
-        key = operator.index(key)
-    except TypeError:
-        raise ValueError(f"trajectory seed {key!r} must be an integer") from None
-    if not 0 <= key < 1 << 128:
-        raise ValueError(f"trajectory seed {key} is not in [0, 2**128)")
-    return {
+def _draw_noise(gen: np.random.Generator, streams: list, block: np.ndarray, width: int, keep: bool):
+    """Fill ``block[row, :width]`` with the next normals of stream ``row``.
+
+    ``streams[row]`` is the row's Philox key, an ``int`` in [0, 2**128),
+    before its first draw, and its saved Philox state after it.  A Philox
+    stream is fixed by its key alone, so a key re-keys the generator to the
+    start of its stream, as ``Philox(key=key)`` is built, by writing the key's
+    two 64-bit words into one reused state dict.  With ``keep`` the state
+    after the draw replaces the entry, so the next chunk continues the same
+    stream.
+    """
+    bg = gen.bit_generator
+    words = [0, 0]
+    start = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [key & 0xFFFFFFFFFFFFFFFF, key >> 64]},
+        "state": {"counter": [0, 0, 0, 0], "key": words},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-
-def _draw_noise(gen: np.random.Generator, streams: list, block: np.ndarray, width: int, keep: bool):
-    """Fill ``block[row, :width]`` with the next normals of stream ``row``.
-
-    ``streams`` holds each row's Philox state; with ``keep`` the state after
-    the draw replaces it, so the next chunk continues the same stream.
-    """
-    bg = gen.bit_generator
-    for row, state in enumerate(streams):
-        bg.state = state
-        gen.standard_normal(out=block[row, :width])
+    for row, (stream, out) in enumerate(zip(streams, block[:, :width])):
+        if type(stream) is int:
+            words[0] = stream & 0xFFFFFFFFFFFFFFFF
+            words[1] = stream >> 64
+            stream = start
+        bg.state = stream
+        gen.standard_normal(out=out)
         if keep:
             streams[row] = bg.state
 
@@ -539,7 +543,7 @@ def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, sample_steps, keys):
         out[:, 0, :] = psi0
         pos = 1
     gen = np.random.Generator(np.random.Philox(0))
-    streams = [_fresh_philox_state(k) for k in keys]
+    streams = list(map(int, keys))  # _draw_noise tells a key from a saved state by type
     block = np.empty((batch, min(_NOISE_CHUNK, n_steps)))
     # the loop is bound by call overhead for small batches: look the ufuncs up once
     square, add, subtract, multiply = np.square, np.add, np.subtract, np.multiply
@@ -688,27 +692,31 @@ def _trajectories(
                 f"Euler-Maruyama step dt={dt:g} makes dt*|H| = {h_step:.6g}, not below 1, "
                 "for the spectral norm |H| of the Hamiltonian; reduce dt"
             )
-    eigenvalues = tuple(a.tolist())
+    eigenvalues, record_lam, record_dt = tuple(a.tolist()), float(lam), float(dt)
     records: list[TrajectoryRecord] = []
     batches = _evolve_batches(keys, rows, psi0, h, shifted, lam, dt, n_steps, steps)
     with contextlib.closing(batches):  # shuts a pool down on any exit
         for batch, samples, finals in batches:
-            records.extend(
-                TrajectoryRecord(
-                    seed=key,
-                    times=times,
-                    states=states,
-                    outcome=outcome,
-                    eigenvalues=eigenvalues,
-                    lam=float(lam),
-                    dt=float(dt),
-                    hamiltonian=h,
-                )
+            records += [
+                TrajectoryRecord(key, times, states, outcome, eigenvalues, record_lam, record_dt, h)
                 for key, states, outcome in zip(
                     batch, samples, _collapse_outcomes(finals, collapse_threshold)
                 )
-            )
+            ]
     return records
+
+
+def _trajectory_key(seed):
+    """Yield ``seed`` once, after checking that it is a Philox key: an integer
+    in [0, 2**128).  The check runs when the engine draws the key, after every
+    other input is validated."""
+    try:
+        key = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"trajectory seed {seed!r} must be an integer") from None
+    if not 0 <= key < 1 << 128:
+        raise ValueError(f"trajectory seed {key} is not in [0, 2**128)")
+    yield seed
 
 
 def sde_trajectory(
@@ -727,7 +735,20 @@ def sde_trajectory(
     Deterministic given (seed, dt): rerunning with the same arguments
     reproduces every sampled state bitwise.
     """
-    return _trajectories(psi0, h, a, lam, dt, t, [seed], 1, sample_times, collapse_threshold)[0]
+    key = _trajectory_key(seed)
+    return _trajectories(psi0, h, a, lam, dt, t, key, 1, sample_times, collapse_threshold)[0]
+
+
+def _member_keys(seed, n: int):
+    """Yield the Philox keys of members ``0..n-1`` of master seed ``seed``.
+
+    ``derive_trajectory_seed(seed, i)`` is ``seed + i * 2**64``, so checking
+    the last member's key checks every one, and the keys are one range.  The
+    check runs when the engine draws the first key, after every input is
+    validated.
+    """
+    last = derive_trajectory_seed(seed, n - 1)
+    yield from range(last & 0xFFFFFFFFFFFFFFFF, last + 1, 1 << 64)
 
 
 def simulate_ensemble(
@@ -747,13 +768,20 @@ def simulate_ensemble(
     Trajectory ``i`` uses the stream ``derive_trajectory_seed(seed, i)``, so
     its record does not depend on ``n_trajectories`` and equals
     ``sde_trajectory`` run with that key, bitwise; member 0 is
-    ``sde_trajectory(seed=seed)``.
+    ``sde_trajectory(seed=seed)``.  Raises ValueError unless
+    ``n_trajectories`` is an integer in [1, 2**64], the member indices a
+    seed has.
     """
-    if n_trajectories <= 0:
-        raise ValueError("n_trajectories must be positive")
-    keys = map(derive_trajectory_seed, itertools.repeat(seed), range(n_trajectories))
+    try:
+        n = operator.index(n_trajectories)
+    except TypeError:
+        raise ValueError(f"n_trajectories {n_trajectories!r} must be an integer") from None
+    if n <= 0:
+        raise ValueError(f"n_trajectories {n} must be positive")
+    if n > 1 << 64:
+        raise ValueError(f"n_trajectories {n} is more than 2**64, the member indices of a seed")
     return _trajectories(
-        psi0, h, a, lam, dt, t, keys, n_trajectories, sample_times, collapse_threshold
+        psi0, h, a, lam, dt, t, _member_keys(seed, n), n, sample_times, collapse_threshold
     )
 
 
@@ -776,12 +804,11 @@ def ensemble_average(trajectories, at: float) -> np.ndarray:
     if not trajectories:
         raise ValueError("need at least one trajectory")
     first = trajectories[0]
-    for other in trajectories[1:]:
-        if not _same_grid(first, other):
-            raise GridMismatch("trajectories do not share grid and parameters")
+    if not all(map(_same_grid, itertools.repeat(first), itertools.islice(trajectories, 1, None))):
+        raise GridMismatch("trajectories do not share grid and parameters")
     offsets = np.abs(first.times - at)
     idx = int(np.argmin(offsets))
     if not offsets[idx] <= 1e-9:
         raise GridMismatch(f"time {at!r} is not on the shared sample grid")
-    stacked = np.stack([r.states[idx] for r in trajectories])
+    stacked = np.array([r.states[idx] for r in trajectories])
     return np.einsum("ni,nj->ij", stacked, stacked.conj()) / len(trajectories)

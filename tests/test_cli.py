@@ -254,6 +254,7 @@ def test_simulate_lindblad_invariant_drift_exits_3_only_when_sampled(capsys):
         ["simulate", "sde", "--t", "1e300", "--dt", "1e-3"],
         ["simulate", "sde", "--seed", "-1"],
         ["simulate", "sde", "--seed", "18446744073709551616"],
+        ["simulate", "sde", "--trajectories", "18446744073709551617"],  # 2**64 + 1 members
     ],
 )
 def test_out_of_range_numbers_exit_2(argv, capsys):

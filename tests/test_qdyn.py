@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -443,24 +445,34 @@ def test_ensemble_members_run_on_the_key_layout():
     for bad in (1.5, 1.0, np.float64(1), "1"):
         with pytest.raises(ValueError, match="must be an integer"):
             qdyn.sde_trajectory(psi, h, A_REF, 1.0, 1e-3, 0.01, seed=bad)
+    for bad in (-1, 2**128):
+        with pytest.raises(ValueError, match=r"not in \[0, 2\*\*128\)"):
+            qdyn.sde_trajectory(psi, h, A_REF, 1.0, 1e-3, 0.01, seed=bad)
+    # a numpy integer key runs the same stream; the record keeps the seed as given
+    rec = qdyn.sde_trajectory(psi, h, A_REF, 1.0, 1e-3, 0.01, seed=np.uint64(master))
+    assert rec.states.tobytes() == solo.states.tobytes()
+    assert type(rec.seed) is np.uint64
 
 
 def test_chunked_noise_equals_one_shot_philox_draws():
+    # the first chunk re-keys the generator from each key; later chunks resume
+    # the states it saved
     keys = [0, 7, 2**64 - 1, 2**64, 2**128 - 1]
     n = 2500
     expected = np.stack([np.random.Generator(np.random.Philox(key=k)).standard_normal(n) for k in keys])
-    gen = np.random.Generator(np.random.Philox(0))
-    streams = [qdyn._fresh_philox_state(k) for k in keys]
-    got = np.empty((len(keys), n))
-    block = np.empty((len(keys), 1000))
-    start = 0
-    for width in (777, 1000, 1, 722):
-        qdyn._draw_noise(gen, streams, block, width, keep=True)
-        got[:, start:start + width] = block[:, :width]
-        start += width
-    assert np.array_equal(got, expected)
-    with pytest.raises(ValueError):
-        qdyn._fresh_philox_state(-1)
+    for widths in ((2500,), (1, 2499), (777, 1000, 1, 722), (1000, 1000, 500)):
+        gen = np.random.Generator(np.random.Philox(0))
+        streams = list(keys)
+        got = np.empty((len(keys), n))
+        block = np.empty((len(keys), max(widths)))
+        start = 0
+        for width in widths:
+            qdyn._draw_noise(gen, streams, block, width, keep=start + width < n)
+            got[:, start:start + width] = block[:, :width]
+            start += width
+        assert np.array_equal(got, expected)
+        # the last chunk saves no state, so one chunk leaves the keys in place
+        assert (streams == keys) == (len(widths) == 1)
 
 
 def test_ensemble_independent_of_noise_chunk(monkeypatch):
@@ -498,7 +510,6 @@ def _complex_reference_kernel(psi0, h, a, lam, dt, n_steps, sample_steps, keys):
             psi0, h, a, lam, dt, n_steps, sample_steps, [keys[0], keys[0]]
         )
         return samples[:1], psi[:1]
-    gen = np.random.Generator(np.random.Philox(0))
     psi = np.tile(psi0, (batch, 1)).astype(complex)
     h_t = None if h is None else h.T
     sqrt_dt = math.sqrt(dt)
@@ -508,16 +519,12 @@ def _complex_reference_kernel(psi0, h, a, lam, dt, n_steps, sample_steps, keys):
     if sample_steps and sample_steps[0] == 0:
         out[:, 0, :] = psi
         pos = 1
-    streams = [qdyn._fresh_philox_state(k) for k in keys]
-    block = np.empty((batch, min(qdyn._NOISE_CHUNK, n_steps)))
+    # each row's normals in one draw from its own Philox(key=...)
+    noise = np.stack([np.random.Generator(np.random.Philox(key=k)).standard_normal(n_steps) for k in keys])
     for step in range(n_steps):
-        col = step % qdyn._NOISE_CHUNK
-        if col == 0:
-            width = min(qdyn._NOISE_CHUNK, n_steps - step)
-            qdyn._draw_noise(gen, streams, block, width, keep=step + width < n_steps)
         p = psi.real**2 + psi.imag**2
         centered = a[None, :] - (p @ a)[:, None]
-        dw = block[:, col] * sqrt_dt
+        dw = noise[:, step] * sqrt_dt
         gain = sqrt_lam * centered * dw[:, None] - 0.5 * lam * dt * centered**2
         dpsi = gain * psi
         if h_t is not None:
@@ -634,7 +641,7 @@ def test_a_batch_that_raises_in_a_worker_raises_in_the_caller(monkeypatch, forks
     draw = qdyn._draw_noise
 
     def draw_failing_for_member_4(gen, streams, block, width, keep):
-        if streams[0]["state"]["key"][1] == 4:  # the member index is the key's high word
+        if streams[0] >> 64 == 4:  # one chunk, so keys; the member index is the high word
             raise ValueError(f"noise failed in process {os.getpid()}")
         draw(gen, streams, block, width, keep)
 
@@ -775,6 +782,65 @@ def test_ensemble_average_checks_scalars_of_shared_grids():
         qdyn.ensemble_average([records[0], copied], at=0.05),
         qdyn.ensemble_average(records[:2], at=0.05),
     )
+
+
+def _ensemble_average_reference(records, at):
+    """Reference average: one ``np.stack`` of the states nearest ``at``, then the einsum."""
+    idx = int(np.argmin(np.abs(records[0].times - at)))
+    stacked = np.stack([r.states[idx] for r in records])
+    return np.einsum("ni,nj->ij", stacked, stacked.conj()) / len(records)
+
+
+def test_ensemble_average_equals_the_stacked_einsum_bitwise():
+    # three batches of one run, sampled at four times, and records mixed from two runs
+    psi = np.ones(4, dtype=complex) / 2.0
+    sample_times = [0.0, 0.005, 0.013, 0.02]
+    run = [
+        qdyn.simulate_ensemble(
+            psi, None, A_REF, 1.0, 1e-3, 0.02, n_trajectories=n, seed=seed, sample_times=sample_times
+        )
+        for n, seed in ((2 * qdyn._BATCH + 500, 1), (300, 2))
+    ]
+    mixed = [r for pair in zip(run[1], run[0]) for r in pair] + run[0][-7:]
+    for records in (run[0], mixed, run[1][:1]):
+        for at in sample_times:
+            got = qdyn.ensemble_average(iter(records), at=at)
+            assert got.tobytes() == _ensemble_average_reference(records, at).tobytes()
+    odd = dataclasses.replace(run[1][0], dt=2e-3)
+    for where in (0, 150, 300):
+        records = run[1][:where] + [odd] + run[1][where:]
+        with pytest.raises(GridMismatch, match="do not share"):
+            qdyn.ensemble_average(records, at=0.02)
+
+
+def test_member_keys_are_the_derived_keys():
+    top = 2**64 - 1
+    for seed in (0, 5, top, np.uint64(top)):
+        for n in (1, 2, 1001):
+            keys = list(qdyn._member_keys(seed, n))
+            assert keys == [qdyn.derive_trajectory_seed(seed, i) for i in range(n)]
+            assert all(type(k) is int for k in keys)
+    # the last index a seed has; the keys are derived as they are drawn
+    first = list(itertools.islice(qdyn._member_keys(3, 2**64), 3))
+    assert first == [3, 3 + 2**64, 3 + 2**65]
+    keys = qdyn._member_keys(2**64, 3)  # refused when first drawn
+    with pytest.raises(ValueError, match="seed"):
+        next(keys)
+
+
+@pytest.mark.parametrize("count", [1.5, 2.0, np.float64(2), "3", None, 0, -1, 2**64 + 1, 2**70])
+def test_ensemble_count_is_a_positive_integer_up_to_the_member_indices(count, monkeypatch):
+    def no_seeds(master, index):
+        raise AssertionError("a seed was derived for a refused count")
+
+    def no_batches(*args):
+        raise AssertionError("a batch was integrated for a refused count")
+
+    monkeypatch.setattr(qdyn, "derive_trajectory_seed", no_seeds)
+    monkeypatch.setattr(qdyn, "_evolve_sde_batch", no_batches)
+    psi = qdyn.basis_superposition(0, 1)
+    with pytest.raises(ValueError, match=rf"n_trajectories {re.escape(repr(count))}"):
+        qdyn.simulate_ensemble(psi, None, A_REF, 1.0, 1e-3, 0.01, n_trajectories=count)
 
 
 def test_trajectory_seeds_do_not_depend_on_count():
