@@ -6,7 +6,7 @@ CSV with a fixed field order, and all randomness flows from ``--seed``
 (default 0), so identical invocations produce byte-identical files.
 
 Exit codes: 0 on success, 2 for invalid arguments or inputs, 3 when a
-numerical guard trips (for example an unstable integration step).
+numerical guard trips (for example an unstable ``simulate lindblad`` step).
 
 If the environment variable ``DYADLAB_OUT_DIR`` is set, relative ``--output``
 paths are resolved inside that directory.
@@ -371,10 +371,10 @@ def cmd_qphi(args) -> int:
     return 0
 
 
-def _add_common_sim_args(parser) -> None:
+def _add_common_sim_args(parser, dt_help: str) -> None:
     parser.add_argument("--eigenvalues", help="four comma-separated collapse eigenvalues")
     parser.add_argument("--lambda", dest="lam", type=float, default=1.0, help="global collapse rate")
-    parser.add_argument("--dt", type=float, default=1e-3, help="integration step")
+    parser.add_argument("--dt", type=float, default=1e-3, help=dt_help)
     parser.add_argument("--t", type=float, default=1.0, help="total evolution time")
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--pair", nargs=2, metavar=("S1", "S2"),
@@ -427,11 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim_sub = p.add_subparsers(dest="mode", required=True)
 
     q = sim_sub.add_parser("lindblad", help="deterministic ensemble evolution")
-    _add_common_sim_args(q)
+    _add_common_sim_args(q, "RK4 integration step")
     q.set_defaults(func=cmd_simulate_lindblad)
 
     q = sim_sub.add_parser("sde", help="stochastic trajectories")
-    _add_common_sim_args(q)
+    _add_common_sim_args(
+        q, "step of the sample grid: --t and the CSV sample times snap to it "
+        "(trajectories are sampled exactly, with no integration step)"
+    )
     q.add_argument("--trajectories", type=int, default=1)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--threshold", type=float, default=0.99,

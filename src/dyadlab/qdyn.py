@@ -20,8 +20,15 @@ Two complementary pictures of the same process:
 
 * Trajectory picture.  A pure state follows the stochastic equation
   ``d(psi) = [-iH dt + sqrt(lam) (A - <A>) dW - (lam/2) (A - <A>)^2 dt] psi``
-  with a standard Wiener increment ``dW ~ Normal(0, dt)``, integrated by
-  Euler-Maruyama with renormalization after every step.  A step with
+  with a standard Wiener increment ``dW ~ Normal(0, dt)``.  Without ``H`` it
+  has a closed-form solution (Adler & Brun, J. Phys. A 34, 4797 (2001);
+  Jacobs & Steck, Contemp. Phys. 47, 279 (2006)): outcome ``j`` occurs with
+  Born weight ``|psi0_j|^2``, and then ``psi_k(t)`` is proportional to
+  ``psi0_k exp(D_k (sqrt(lam) W_t - lam t D_k))`` with ``D_k = a_k - a_j``.
+  The engine samples that exactly, at the sample times and the final time
+  only (:func:`_collapse_exactly`), so ``dt`` sets the sample grid and no
+  step is too large.  With ``H``, including a zero matrix, it integrates by
+  Euler-Maruyama with renormalization after every step; a step with
   ``(lam/2) dt (max a - min a)^2 >= 1``, or with ``dt ||H|| >= 1`` for the
   spectral norm of ``H``, is refused before any noise is drawn, with
   :class:`StepTooLarge`.  Averaging the projectors of many trajectories
@@ -32,45 +39,32 @@ integrate with ``A = 0`` and no eigenvalue gap, however large, trips a guard.
 
 Randomness is counter-based: Philox gives an independent stream for every
 distinct 128-bit key (Salmon et al., SC'11), so member ``i`` of an ensemble
-with master seed ``m`` draws its normals from the stream keyed
-``m + i * 2**64`` (:func:`derive_trajectory_seed`), the seed in the low
-64-bit word and the index in the high one.  An ensemble's keys are
-therefore one range, ``m, m + 2**64, ...``; checking the last member's key
-checks them all, once, when the engine draws the first.  Single runs and
-ensembles share one engine: it integrates up to ``_BATCH`` trajectories
-together and re-keys one Philox generator per trajectory instead of building
-one.  A stream is fixed by its key alone, so re-keying writes the key's two
-words into one reused state dict; a trajectory's own state is saved only when
-more noise follows.  The engine draws the noise ``_NOISE_CHUNK`` steps at a
-time, so noise memory is ``_BATCH x _NOISE_CHUNK`` floats per process however
-long the run.  Its arithmetic does not depend on the batch, the chunking or
-the process, so trajectory ``i`` is reproducible bitwise regardless of how
-many trajectories are run or where.  A run of several batches and at least ``_POOL_MIN_WORK``
-trajectory-steps, on Linux under Python 3.11 or later with more than one
-usable core, integrates them in forked worker processes, one per core, and
-collects them in order.  One batch, less work, one core, another running
-Python thread or a caller that is itself a multiprocessing child keeps the
-run in this process, with the same output.  The engine holds a
-batch as real and imaginary planes, component-major, updated in place.
-Without ``H`` the Euler step scales each amplitude by a real factor, so an
-amplitude that is zero in ``psi0`` stays exactly zero and only the others
-are integrated.  ``<A>`` is still ``p @ a``, and the ``H`` term one complex
+with master seed ``m`` draws from the stream keyed ``m + i * 2**64``
+(:func:`derive_trajectory_seed`), the seed in the low 64-bit word and the
+index in the high one.  An ensemble's keys are therefore one range,
+``m, m + 2**64, ...``; checking the last member's key checks them all, once,
+when the engine draws the first.  Single runs and ensembles share one engine:
+it runs up to ``_BATCH`` trajectories together and re-keys one Philox
+generator per trajectory instead of building one.  A stream is fixed by its
+key alone, so re-keying writes the key's two words into one reused state
+dict; a trajectory's own state is saved only when more noise follows.
+Euler-Maruyama draws the noise ``_NOISE_CHUNK`` steps at a time, so noise
+memory is ``_BATCH x _NOISE_CHUNK`` floats however long the run.  Neither
+method's arithmetic depends on the batch or the chunking, so trajectory ``i``
+is reproducible bitwise regardless of how many trajectories are run.
+Euler-Maruyama holds a batch as real and imaginary planes, component-major,
+updated in place.  ``<A>`` is still ``p @ a``, and the ``H`` term one complex
 matrix product, on (rows, 4) arrays: their BLAS calls fix the rounding, so
-the planes reproduce the complex-form step bitwise.  An SDE run of more
-than ``MAX_SDE_STEPS`` steps is refused with ValueError.  Ensemble averaging
-is an order-independent reduction over immutable records.
+the planes reproduce the complex-form step bitwise.  An SDE run of more than
+``MAX_SDE_STEPS`` steps is refused with ValueError.  Ensemble averaging is an
+order-independent reduction over immutable records.
 """
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import itertools
 import math
 import operator
-import os
-import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +80,7 @@ COHERENCE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # a time: the noise block holds _BATCH x _NOISE_CHUNK floats (8 MB).
 _BATCH = 1000
 _NOISE_CHUNK = 1024
-# Batches submitted to each pool worker ahead of the one being collected.
-_WINDOW = 2
-# Trajectory-steps per call below which an ensemble stays in this process.
-# Forking the workers and joining them costs 30-50 ms on a 2-core host, and
-# pooling broke even near 10^6 (10^4 trajectories x 100 steps).
-_POOL_MIN_WORK = 2_000_000
-# Steps per SDE trajectory; one trajectory of this many takes hours.
+# Steps per SDE trajectory: the grid of an exact sample, or hours of Euler-Maruyama.
 MAX_SDE_STEPS = 10**9
 
 _STATE_ATOL = 1e-10
@@ -434,16 +422,13 @@ def derive_trajectory_seed(master_seed: int, index: int) -> int:
     return master + (index << 64)
 
 
-def _draw_noise(gen: np.random.Generator, streams: list, block: np.ndarray, width: int, keep: bool):
-    """Fill ``block[row, :width]`` with the next normals of stream ``row``.
+def _rekeyed(gen: np.random.Generator, streams):
+    """Yield the index of each entry of ``streams`` with ``gen`` set to that stream.
 
-    ``streams[row]`` is the row's Philox key, an ``int`` in [0, 2**128),
-    before its first draw, and its saved Philox state after it.  A Philox
-    stream is fixed by its key alone, so a key re-keys the generator to the
-    start of its stream, as ``Philox(key=key)`` is built, by writing the key's
-    two 64-bit words into one reused state dict.  With ``keep`` the state
-    after the draw replaces the entry, so the next chunk continues the same
-    stream.
+    An entry is a Philox key, an ``int`` in [0, 2**128), or a saved Philox
+    state.  A Philox stream is fixed by its key alone, so a key re-keys the
+    generator to the start of its stream, as ``Philox(key=key)`` is built, by
+    writing the key's two 64-bit words into one reused state dict.
     """
     bg = gen.bit_generator
     words = [0, 0]
@@ -455,15 +440,73 @@ def _draw_noise(gen: np.random.Generator, streams: list, block: np.ndarray, widt
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for row, (stream, out) in enumerate(zip(streams, block[:, :width])):
+    for row, stream in enumerate(streams):
         if type(stream) is int:
             words[0] = stream & 0xFFFFFFFFFFFFFFFF
             words[1] = stream >> 64
             stream = start
         bg.state = stream
+        yield row
+
+
+def _draw_noise(gen: np.random.Generator, streams: list, block: np.ndarray, width: int, keep: bool):
+    """Fill ``block[row, :width]`` with the next normals of stream ``row``.
+
+    ``streams[row]`` is the row's Philox key before its first draw, and its
+    saved Philox state after it (see :func:`_rekeyed`).  With ``keep`` the
+    state after the draw replaces the entry, so the next chunk continues the
+    same stream.
+    """
+    for row, out in zip(_rekeyed(gen, streams), block[:, :width]):
         gen.standard_normal(out=out)
         if keep:
-            streams[row] = bg.state
+            streams[row] = gen.bit_generator.state
+
+
+def _collapse_exactly(psi0, a, lam, dt, n_steps, sample_steps, keys):
+    """Sample one trajectory without a Hamiltonian per stream key; returns
+    (samples, final states) as :func:`_evolve_sde_batch` does.
+
+    Row ``r`` re-keys the generator to ``keys[r]`` and draws one uniform,
+    which picks the outcome ``j`` with Born weight ``|psi0_j|^2``, then one
+    normal per positive step of the grid (the sample steps and the last
+    step), whose scaled running sum is ``W`` there.  With
+    ``y = D sqrt(t) sqrt(lam)`` and ``xi = W_t / sqrt(t)`` the exponent
+    ``D (sqrt(lam) W_t - lam t D)`` of the closed form is ``y (xi - y)``:
+    a product that overflows reads as ``-inf``, and a zero ``D`` keeps the
+    exponent at 0 however large ``lam`` and ``t``.  The exponents are
+    reduced by their largest over the amplitudes ``psi0`` populates before
+    ``exp``, so the others underflow to zero instead of overflowing; an
+    amplitude that is zero in ``psi0`` stays exactly zero, and each keeps
+    its phase.  The step-0 sample is ``psi0`` itself.  The draws depend only
+    on the key and the grid, and every operation is per row, so a
+    trajectory does not depend on the batch.
+    """
+    steps = np.union1d(sample_steps, [n_steps])
+    steps = steps[steps > 0]  # W_0 = 0 needs no draw
+    support = np.flatnonzero(psi0)
+    pops = state_populations(psi0)
+    born = np.cumsum(pops)
+    u = np.empty(len(keys))
+    z = np.empty((len(keys), len(steps)))
+    gen = np.random.Generator(np.random.Philox(0))
+    for row in _rekeyed(gen, list(map(int, keys))):
+        u[row] = gen.random()
+        gen.standard_normal(out=z[row])
+    # a uniform that rounds onto the total weight picks the last populated amplitude
+    j = np.minimum(np.searchsorted(born, u * born[-1], side="right"), support[-1])
+    root_t = np.sqrt(steps * dt)
+    xi = np.cumsum(z * np.sqrt(np.diff(steps, prepend=0) * dt), axis=1) / root_t
+    with np.errstate(over="ignore"):
+        y = (a[support, None] - a[j])[..., None] * root_t * math.sqrt(lam)
+        d = y * (xi - y)  # (amplitude, row, time)
+    d -= d.max(axis=0)
+    amps = np.exp(d)
+    amps /= np.sqrt(np.add.reduce(pops[support, None, None] * amps**2, axis=0))
+    states = np.zeros((len(keys), len(steps) + 1, DIM), dtype=complex)
+    states[:, 0] = psi0
+    states[:, 1:, support] = psi0[support] * np.moveaxis(amps, 0, -1)
+    return states[:, np.searchsorted(steps, sample_steps, side="right")], states[:, -1]
 
 
 def _planes(z: np.ndarray) -> np.ndarray:
@@ -483,20 +526,15 @@ def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, sample_steps, keys):
     ensemble members agree bitwise.
 
     The state is held as real planes, component-major: ``z[0, j]`` and
-    ``z[1, j]`` are the real and imaginary parts of amplitude ``span[j]``
-    across the rows, so every update is one in-place ufunc over contiguous
-    rows.  Without a Hamiltonian the step multiplies each amplitude by a real
-    factor, so an amplitude that starts at zero stays exactly zero: ``span``
-    is then the evenly spaced run of components covering the non-zero
-    amplitudes of ``psi0``, and the others are zero in every output.  A
-    Hamiltonian couples all four, so ``span`` is all of them.
+    ``z[1, j]`` are the real and imaginary parts of amplitude ``j`` across
+    the rows, so every update is one in-place ufunc over contiguous rows.
 
     The arithmetic is that of the complex form ``psi += gain * psi - 1j dt
     psi @ h.T; psi /= norm``, bit for bit.  Multiplying by a real ``gain``
     and dividing by ``norm + 0j`` round each part as multiplying it by
     ``gain`` and by ``1 / norm`` do, and the planes hold no -0.0 for the
-    two forms to round apart.  ``<A>`` stays ``p @ a`` on a zero-filled
-    C-contiguous (rows, 4) array of populations, and the Hamiltonian term
+    two forms to round apart.  ``<A>`` stays ``p @ a`` on a C-contiguous
+    (rows, 4) array of populations, and the Hamiltonian term
     the complex (rows, 4) product filled from the planes: both keep the
     BLAS call, and so the rounding, of the complex form.
     """
@@ -507,34 +545,28 @@ def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, sample_steps, keys):
             psi0, h, a, lam, dt, n_steps, sample_steps, [keys[0], keys[0]]
         )
         return samples[:1], psi[:1]
-    if h is None:
-        support = np.flatnonzero(psi0)
-        span = slice(support[0], support[-1] + 1, int(np.gcd.reduce(np.diff(support))) or 1)
-    else:
-        span = slice(0, DIM)
-        h_t = h.T
-        h_step = -1j * dt
-        psi = np.empty((batch, DIM), dtype=complex)
-        h_psi = np.empty((batch, DIM), dtype=complex)
-        psi_planes, h_psi_planes = _planes(psi), _planes(h_psi)
-    m = len(range(DIM)[span])
-    z = np.empty((2, m, batch))
+    h_t = h.T
+    h_step = -1j * dt
+    psi = np.empty((batch, DIM), dtype=complex)
+    h_psi = np.empty((batch, DIM), dtype=complex)
+    psi_planes, h_psi_planes = _planes(psi), _planes(h_psi)
+    z = np.empty((2, DIM, batch))
     # adding 0.0 turns a -0.0 part into +0.0, as the first complex step does
-    z[...] = np.stack((psi0.real, psi0.imag))[:, span, None] + 0.0
-    a_span = a[span, None]
+    z[...] = np.stack((psi0.real, psi0.imag))[:, :, None] + 0.0
+    a_col = a[:, None]
     sqrt_dt = math.sqrt(dt)
     sqrt_lam = math.sqrt(lam)
     half_lam_dt = 0.5 * lam * dt
-    pops = np.zeros((batch, DIM))
-    pops_span = pops[:, span].T
+    pops = np.empty((batch, DIM))
+    pops_t = pops.T
     sq = np.empty_like(z)
     sq_re, sq_im = sq
     dz = np.empty_like(z)
     mean = np.empty(batch)
     dw = np.empty(batch)
-    centered = np.empty((m, batch))
-    gain = np.empty((m, batch))
-    norm_terms = np.empty((m, batch))
+    centered = np.empty((DIM, batch))
+    gain = np.empty((DIM, batch))
+    norm_terms = np.empty((DIM, batch))
     norm = np.empty(batch)
     out = np.zeros((batch, len(sample_steps), DIM), dtype=complex)
     out_planes = _planes(out)
@@ -553,9 +585,9 @@ def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, sample_steps, keys):
             width = min(_NOISE_CHUNK, n_steps - step)
             _draw_noise(gen, streams, block, width, keep=step + width < n_steps)
         square(z, out=sq)
-        add(sq_re, sq_im, out=pops_span)
+        add(sq_re, sq_im, out=pops_t)
         np.matmul(pops, a, out=mean)
-        subtract(a_span, mean, out=centered)
+        subtract(a_col, mean, out=centered)
         multiply(sqrt_lam, centered, out=gain)
         multiply(block[:, col], sqrt_dt, out=dw)
         multiply(gain, dw, out=gain)
@@ -563,11 +595,10 @@ def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, sample_steps, keys):
         multiply(half_lam_dt, centered, out=centered)
         subtract(gain, centered, out=gain)
         multiply(gain, z, out=dz)
-        if h is not None:
-            np.copyto(psi_planes, z)
-            np.matmul(psi, h_t, out=h_psi)
-            multiply(h_step, h_psi, out=h_psi)
-            add(dz, h_psi_planes, out=dz)
+        np.copyto(psi_planes, z)
+        np.matmul(psi, h_t, out=h_psi)
+        multiply(h_step, h_psi, out=h_psi)
+        add(dz, h_psi_planes, out=dz)
         add(z, dz, out=z)
         square(z, out=sq)
         add(sq_re, sq_im, out=norm_terms)
@@ -576,10 +607,10 @@ def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, sample_steps, keys):
         np.divide(1.0, norm, out=norm)
         multiply(z, norm, out=z)
         if pos < len(sample_steps) and sample_steps[pos] == step + 1:
-            out_planes[:, span, pos] = z
+            out_planes[:, :, pos] = z
             pos += 1
-    final = np.zeros((batch, DIM), dtype=complex)
-    _planes(final)[:, span] = z
+    final = np.empty((batch, DIM), dtype=complex)
+    _planes(final)[...] = z
     return out, final
 
 
@@ -591,76 +622,14 @@ def _collapse_outcomes(finals: np.ndarray, threshold: float) -> list[int | None]
     return [w if d else None for w, d in zip(winners.tolist(), decided.tolist())]
 
 
-def _pool_workers(rows: int, n_steps: int) -> int:
-    """Worker processes for an ensemble of ``rows`` trajectories; below 2, none.
-
-    One per usable core, up to the number of batches, once the run holds
-    ``_POOL_MIN_WORK`` trajectory-steps.  Workers are forked, so there are
-    none off Linux; none before Python 3.11, whose executor forks its later
-    workers after starting a thread; none while another Python thread runs,
-    since a forked child keeps only this thread and any lock another held;
-    and none in a multiprocessing child, which may be daemonic (and so may
-    not have children) or one of many (which would each fork as many more).
-    """
-    if rows * n_steps < _POOL_MIN_WORK or sys.platform != "linux":
-        return 1
-    if sys.version_info < (3, 11) or threading.active_count() > 1:
-        return 1
-    mp = sys.modules.get("multiprocessing")  # a multiprocessing child has it loaded
-    if mp is not None and mp.parent_process() is not None:
-        return 1
-    return min(len(os.sched_getaffinity(0)), -(-rows // _BATCH))
-
-
-def _evolve_batches(keys, rows, psi0, h, a, lam, dt, n_steps, sample_steps):
-    """Yield ``(keys, samples, finals)`` for each ``_BATCH`` of ``keys``, in order.
-
-    ``keys`` holds ``rows`` stream keys; the other arguments are those of
-    :func:`_evolve_sde_batch`.  When :func:`_pool_workers`
-    gives two or more, the batches run in that many forked worker processes,
-    each with at most ``_WINDOW`` batches submitted ahead, so ``keys`` is
-    still consumed lazily and the caller's work on one batch overlaps the
-    workers' on the next.  The kernel's arithmetic does not depend on the
-    process, so every result is bitwise that of the serial loop.  When the
-    generator finishes, raises or is closed, the pool is shut down, its
-    workers joined and any batch not yet started cancelled.
-    """
-    args = (psi0, h, a, lam, dt, n_steps, sample_steps)
-    workers = _pool_workers(rows, n_steps)
-    keys = iter(keys)
-    batches = iter(lambda: list(itertools.islice(keys, _BATCH)), [])
-    if workers < 2:
-        for batch in batches:
-            yield batch, *_evolve_sde_batch(*args, batch)
-        return
-    # imported here so that a CLI start-up loads neither
-    import concurrent.futures
-    import multiprocessing
-
-    pool = concurrent.futures.ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork")
-    )
-    pending = collections.deque()
-    try:
-        for batch in batches:
-            if len(pending) == _WINDOW * workers:
-                done, future = pending.popleft()
-                yield done, *future.result()
-            pending.append((batch, pool.submit(_evolve_sde_batch, *args, batch)))
-        for done, future in pending:
-            yield done, *future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _trajectories(
-    psi0, h, a, lam, dt, t, keys, rows, sample_times, collapse_threshold
+    psi0, h, a, lam, dt, t, keys, sample_times, collapse_threshold
 ) -> list[TrajectoryRecord]:
-    """Integrate one trajectory per stream key, ``_BATCH`` at a time.
+    """Run one trajectory per stream key, ``_BATCH`` at a time: sampled
+    exactly without a Hamiltonian, integrated by Euler-Maruyama with one.
 
-    ``keys`` holds ``rows`` keys and is consumed lazily, after every input is
-    validated and the step checked, so a refused run derives no key and forks
-    no worker.
+    ``keys`` is consumed lazily, after every input is validated and the step
+    checked, so a refused run derives no key.
     """
     psi0 = validate_pure_state(psi0)
     a = build_collapse_operator(a)
@@ -673,18 +642,20 @@ def _trajectories(
     # smallest eigenvalue every a_i - <A> stays within the gap instead of
     # cancelling two large numbers, which overflows for huge equal eigenvalues
     shifted = a - a.min() if lam else np.zeros(DIM)
-    # |a_i - <A>| <= gap, so the drift factor 1 - (lam/2) dt (a_i - <A>)^2 stays
-    # positive below this bound; past it a step flips the sign of amplitudes.
-    # The margin is NaN when gap^2 overflows and lam dt underflows to 0: the
-    # step would then multiply 0 by inf
-    gap = float(shifted.max())
-    margin = 0.5 * lam * dt * (gap * gap)
-    if not margin < 1.0:
-        raise StepTooLarge(
-            f"Euler-Maruyama step dt={dt:g} makes (lam/2) dt gap^2 = {margin:.6g}, not below 1, "
-            f"for eigenvalue gap {gap:g}, so the drift factor is not positive; reduce dt"
-        )
-    if h is not None:
+    if h is None:
+        kernel, args = _collapse_exactly, (psi0, shifted, lam, dt, n_steps, steps)
+    else:
+        # |a_i - <A>| <= gap, so the drift factor 1 - (lam/2) dt (a_i - <A>)^2 stays
+        # positive below this bound; past it a step flips the sign of amplitudes.
+        # The margin is NaN when gap^2 overflows and lam dt underflows to 0: the
+        # step would then multiply 0 by inf
+        gap = float(shifted.max())
+        margin = 0.5 * lam * dt * (gap * gap)
+        if not margin < 1.0:
+            raise StepTooLarge(
+                f"Euler-Maruyama step dt={dt:g} makes (lam/2) dt gap^2 = {margin:.6g}, not below 1, "
+                f"for eigenvalue gap {gap:g}, so the drift factor is not positive; reduce dt"
+            )
         # a Python float: dt times a huge norm overflows to inf without a warning
         h_step = float(dt) * float(np.max(np.abs(np.linalg.eigvalsh(h))))
         if not h_step < 1.0:
@@ -692,17 +663,17 @@ def _trajectories(
                 f"Euler-Maruyama step dt={dt:g} makes dt*|H| = {h_step:.6g}, not below 1, "
                 "for the spectral norm |H| of the Hamiltonian; reduce dt"
             )
+        kernel, args = _evolve_sde_batch, (psi0, h, shifted, lam, dt, n_steps, steps)
     eigenvalues, record_lam, record_dt = tuple(a.tolist()), float(lam), float(dt)
     records: list[TrajectoryRecord] = []
-    batches = _evolve_batches(keys, rows, psi0, h, shifted, lam, dt, n_steps, steps)
-    with contextlib.closing(batches):  # shuts a pool down on any exit
-        for batch, samples, finals in batches:
-            records += [
-                TrajectoryRecord(key, times, states, outcome, eigenvalues, record_lam, record_dt, h)
-                for key, states, outcome in zip(
-                    batch, samples, _collapse_outcomes(finals, collapse_threshold)
-                )
-            ]
+    keys = iter(keys)
+    for batch in iter(lambda: list(itertools.islice(keys, _BATCH)), []):
+        samples, finals = kernel(*args, batch)
+        outcomes = _collapse_outcomes(finals, collapse_threshold)
+        records += [
+            TrajectoryRecord(key, times, states, outcome, eigenvalues, record_lam, record_dt, h)
+            for key, states, outcome in zip(batch, samples, outcomes)
+        ]
     return records
 
 
@@ -736,7 +707,7 @@ def sde_trajectory(
     reproduces every sampled state bitwise.
     """
     key = _trajectory_key(seed)
-    return _trajectories(psi0, h, a, lam, dt, t, key, 1, sample_times, collapse_threshold)[0]
+    return _trajectories(psi0, h, a, lam, dt, t, key, sample_times, collapse_threshold)[0]
 
 
 def _member_keys(seed, n: int):
@@ -781,7 +752,7 @@ def simulate_ensemble(
     if n > 1 << 64:
         raise ValueError(f"n_trajectories {n} is more than 2**64, the member indices of a seed")
     return _trajectories(
-        psi0, h, a, lam, dt, t, _member_keys(seed, n), n, sample_times, collapse_threshold
+        psi0, h, a, lam, dt, t, _member_keys(seed, n), sample_times, collapse_threshold
     )
 
 

@@ -196,18 +196,14 @@ def test_simulate_lindblad_unstable_step_exits_3(capsys):
 
 
 def test_simulate_lindblad_outside_stability_region_exits_3(capsys):
-    # RK4's stability region for lindblad, a positive drift factor for sde
-    for mode in ("lindblad", "sde"):
-        code = cli.main(
-            [
-                "simulate", mode,
-                "--pair", "00", "01",
-                "--eigenvalues", "0,200,0,0",
-                "--dt", "1e-3",
-            ]
-        )
-        assert code == 3
-        assert "numerical guard" in capsys.readouterr().err
+    # RK4's stability region for lindblad; sde samples its trajectories
+    # exactly, so no step is too large for it
+    argv = ["--pair", "00", "01", "--eigenvalues", "0,200,0,0", "--dt", "1e-3"]
+    assert cli.main(["simulate", "lindblad", *argv]) == 3
+    assert "numerical guard" in capsys.readouterr().err
+    data = _run_json(capsys, ["simulate", "sde", *argv])
+    _validate("simulate_sde", data)
+    assert sum(data["outcomes"].values()) == 1
 
 
 def test_simulate_lindblad_invariant_drift_exits_3_only_when_sampled(capsys):
@@ -606,6 +602,24 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_sde_ensemble_runs_in_one_process():
+    # three batches of 1000, sampled without a Hamiltonian and integrated with
+    # one: nothing forks and no process pool is loaded
+    proc = _dyadlab_process(
+        "import os, sys\n"
+        "def no_fork(): raise AssertionError('forked')\n"
+        "os.fork = no_fork\n"
+        "from dyadlab import cli, qdyn\n"
+        "assert cli.main(['simulate', 'sde', '--trajectories', '2500', '--t', '1']) == 0\n"
+        "qdyn.simulate_ensemble(qdyn.basis_superposition(0, 1), qdyn.swap_hamiltonian(),\n"
+        "                       (2.0, 0.0, 4.0, 6.0), 1.0, 1e-3, 0.002, n_trajectories=2500)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('multiprocessing', 'concurrent')),\n"
+        "      file=sys.stderr)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"
 
 
 @pytest.mark.parametrize(

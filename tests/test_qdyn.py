@@ -1,15 +1,11 @@
 """Collapse dynamics: analytic decay oracles, trajectory statistics, guards."""
 
-import concurrent.futures
 import dataclasses
 import itertools
 import math
-import multiprocessing
-import os
 import re
-import sys
-import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -263,15 +259,20 @@ def test_ensemble_members_match_individual_runs_bitwise():
 
 
 def test_sde_refuses_step_with_nonpositive_drift_factor():
-    # (lam/2) dt gap^2 = 1 at gap sqrt(2000) ~ 44.72 for lam = 1, dt = 1e-3
+    # (lam/2) dt gap^2 = 1 at gap sqrt(2000) ~ 44.72 for lam = 1, dt = 1e-3; the
+    # bound is Euler-Maruyama's, so it holds with a Hamiltonian, even a zero one,
+    # and the exact sampler without one takes any step
     psi = qdyn.basis_superposition(0, 1)
-    rec = qdyn.sde_trajectory(psi, None, (0.0, 44.7, 0.0, 0.0), 1.0, 1e-3, 0.05, seed=1)
+    zero_h = np.zeros((4, 4))
+    rec = qdyn.sde_trajectory(psi, zero_h, (0.0, 44.7, 0.0, 0.0), 1.0, 1e-3, 0.05, seed=1)
     assert np.allclose(np.linalg.norm(rec.states, axis=1), 1.0, atol=1e-12)
     for a in ((0.0, 44.73, 0.0, 0.0), (0.0, 200.0, 0.0, 0.0)):
         with pytest.raises(StepTooLarge, match="drift factor"):
-            qdyn.sde_trajectory(psi, None, a, 1.0, 1e-3, 0.05, seed=1)
+            qdyn.sde_trajectory(psi, zero_h, a, 1.0, 1e-3, 0.05, seed=1)
         with pytest.raises(StepTooLarge, match="drift factor"):
-            qdyn.simulate_ensemble(psi, None, a, 1.0, 1e-3, 0.05, n_trajectories=3)
+            qdyn.simulate_ensemble(psi, zero_h, a, 1.0, 1e-3, 0.05, n_trajectories=3)
+        records = qdyn.simulate_ensemble(psi, None, a, 1.0, 1e-3, 0.05, n_trajectories=3)
+        assert all(np.allclose(np.linalg.norm(r.states, axis=1), 1.0, atol=1e-12) for r in records)
     # without collapse (lam = 0) A drops out, so a gap whose square overflows runs
     uniform = np.ones(4, dtype=complex) / 2.0
     big = (0.0, 1e300, 0.0, 0.0)
@@ -489,11 +490,14 @@ def test_ensemble_independent_of_noise_chunk(monkeypatch):
 
 
 def test_sde_noise_memory_is_bounded_by_the_chunk():
-    # 1000 x 5000 steps would be a 40 MB noise array; the chunk keeps it at 8 MB
+    # 1000 x 5000 steps would be a 40 MB noise array; the chunk keeps it at 8 MB.
+    # Only Euler-Maruyama draws per step, so the run passes a (zero) Hamiltonian
     psi = qdyn.basis_superposition(0, 1)
     tracemalloc.start()
     try:
-        records = qdyn.simulate_ensemble(psi, None, A_REF, 1.0, 1e-3, 5.0, n_trajectories=1000, seed=1)
+        records = qdyn.simulate_ensemble(
+            psi, np.zeros((4, 4)), A_REF, 1.0, 1e-3, 5.0, n_trajectories=1000, seed=1
+        )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -511,7 +515,7 @@ def _complex_reference_kernel(psi0, h, a, lam, dt, n_steps, sample_steps, keys):
         )
         return samples[:1], psi[:1]
     psi = np.tile(psi0, (batch, 1)).astype(complex)
-    h_t = None if h is None else h.T
+    h_t = h.T
     sqrt_dt = math.sqrt(dt)
     sqrt_lam = math.sqrt(lam)
     out = np.empty((batch, len(sample_steps), qdyn.DIM), dtype=complex)
@@ -527,8 +531,7 @@ def _complex_reference_kernel(psi0, h, a, lam, dt, n_steps, sample_steps, keys):
         dw = noise[:, step] * sqrt_dt
         gain = sqrt_lam * centered * dw[:, None] - 0.5 * lam * dt * centered**2
         dpsi = gain * psi
-        if h_t is not None:
-            dpsi = dpsi + (-1j * dt) * (psi @ h_t)
+        dpsi = dpsi + (-1j * dt) * (psi @ h_t)
         psi = psi + dpsi
         norm = np.sqrt((psi.real**2 + psi.imag**2).sum(axis=1))
         psi = psi / norm[:, None]
@@ -555,9 +558,11 @@ def _oracle_states():
 @pytest.mark.parametrize("with_h", [False, True], ids=["H_none", "H_swap"])
 @pytest.mark.parametrize("state", sorted(_oracle_states()))
 def test_sde_kernel_matches_complex_reference_bitwise(state, with_h, lam, monkeypatch):
-    # 11 steps are noise chunks of 4, 4 and 3; samples at step 0, mid-chunk and the end
+    # 11 steps are noise chunks of 4, 4 and 3; samples at step 0, mid-chunk and the end.
+    # H_none has no Hamiltonian term: it passes the zero matrix, which keeps the
+    # run on Euler-Maruyama (without a matrix the engine samples exactly)
     psi = _oracle_states()[state]
-    h = qdyn.swap_hamiltonian() if with_h else None
+    h = qdyn.swap_hamiltonian() if with_h else np.zeros((4, 4))
     monkeypatch.setattr(qdyn, "_NOISE_CHUNK", 4)
     args = (psi, h, A_REF, lam, 2e-3, 0.022)
     kw = dict(seed=5, sample_times=[0.0, 0.012, 0.022], collapse_threshold=0.5)
@@ -579,141 +584,135 @@ def test_sde_kernel_matches_complex_reference_bitwise(state, with_h, lam, monkey
         assert [r.outcome for r in records] == [r.outcome for r in reference]
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _mean_and_se(values):
+    """Mean over axis 0, and its standard error from the sample's own spread."""
+    return values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(len(values))
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Every os.fork of the test, by its caller's pid; pool workers are forked."""
-    calls = []
-    fork = os.fork
-
-    def recorded_fork():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", recorded_fork)
-    return calls
-
-
-def _cores(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+@pytest.mark.parametrize("state", ["pair_00_01", "uniform", "random"])
+def test_exact_collapse_follows_born_weights(state):
+    # every trajectory decides by t = 6 (the smallest gap, 2, leaves the others
+    # about exp(-24) of the population), so each count is binomial(n, |psi0_k|^2):
+    # within 5 sigma, plus the undecided trajectories
+    psi = _oracle_states()[state]
+    n = 4000
+    records = qdyn.simulate_ensemble(psi, None, A_REF, 1.0, 1e-3, 6.0, n_trajectories=n, seed=11)
+    outcomes = [r.outcome for r in records]
+    undecided = outcomes.count(None)
+    assert undecided <= n // 100
+    for k, p in enumerate(qdyn.state_populations(psi)):
+        assert abs(outcomes.count(k) - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p)) + undecided
 
 
-def _small_pool(monkeypatch, min_work=0):
-    """Batches of 2 trajectories, pooled from ``min_work`` trajectory-steps on two cores."""
-    monkeypatch.setattr(qdyn, "_BATCH", 2)
-    monkeypatch.setattr(qdyn, "_POOL_MIN_WORK", min_work)
-    _cores(monkeypatch, 2)
-
-
-@pytest.mark.parametrize("with_h", [False, True], ids=["H_none", "H_swap"])
-def test_pooled_batches_match_the_serial_run_bitwise(with_h, monkeypatch, forks):
-    # 11 trajectories in batches of 2 are six batches, the last of one row:
-    # more than the four a two-worker pool keeps in flight.  11 x 50 steps is
-    # just enough work to pool
-    _small_pool(monkeypatch, min_work=11 * 50)
-    psi = np.ones(4, dtype=complex) / 2.0
-    h = qdyn.swap_hamiltonian() if with_h else None
-    args = (psi, h, A_REF, 1.0, 1e-3, 0.05)
-    kw = dict(n_trajectories=11, seed=9, sample_times=[0.0, 0.02, 0.05], collapse_threshold=0.3)
-    pooled = qdyn.simulate_ensemble(*args, **kw)
-    assert forks == [os.getpid()] * 2
-    _assert_no_child_left()
-    _cores(monkeypatch, 1)
-    serial = qdyn.simulate_ensemble(*args, **kw)
-    assert len(forks) == 2
-    assert [r.seed for r in pooled] == [r.seed for r in serial]
-    assert [r.outcome for r in pooled] == [r.outcome for r in serial]
-    assert all(p.states.tobytes() == s.states.tobytes() for p, s in zip(pooled, serial))
-    assert any(r.outcome is not None for r in pooled)
-    for i in (0, 10):
-        solo = qdyn.sde_trajectory(
-            *args, seed=qdyn.derive_trajectory_seed(9, i), sample_times=kw["sample_times"]
-        )
-        assert pooled[i].states.tobytes() == solo.states.tobytes()
-
-
-def test_a_batch_that_raises_in_a_worker_raises_in_the_caller(monkeypatch, forks):
-    _small_pool(monkeypatch)
-    draw = qdyn._draw_noise
-
-    def draw_failing_for_member_4(gen, streams, block, width, keep):
-        if streams[0] >> 64 == 4:  # one chunk, so keys; the member index is the high word
-            raise ValueError(f"noise failed in process {os.getpid()}")
-        draw(gen, streams, block, width, keep)
-
-    monkeypatch.setattr(qdyn, "_draw_noise", draw_failing_for_member_4)
-    psi = qdyn.basis_superposition(0, 1)
-    with pytest.raises(ValueError, match="noise failed in process") as err:
-        qdyn.simulate_ensemble(psi, None, A_REF, 1.0, 1e-3, 0.01, n_trajectories=11, seed=1)
-    assert str(os.getpid()) not in str(err.value)
-    assert len(forks) == 2
-    _assert_no_child_left()
-
-
-def _no_fork():
-    raise AssertionError("a worker was forked")
-
-
-def test_one_batch_little_work_one_core_or_another_thread_forks_nothing(monkeypatch):
-    monkeypatch.setattr(os, "fork", _no_fork)
-    psi = qdyn.basis_superposition(0, 1)
-    args = (psi, None, A_REF, 1.0, 1e-3, 0.01)
-    _small_pool(monkeypatch, min_work=5 * 10 + 1)  # one trajectory-step more than 5 x 10
-    assert len(qdyn.simulate_ensemble(*args, n_trajectories=5)) == 5
-    monkeypatch.setattr(qdyn, "_POOL_MIN_WORK", 0)
-    qdyn.sde_trajectory(*args, seed=3)
-    assert len(qdyn.simulate_ensemble(*args, n_trajectories=2)) == 2
-    with pytest.raises(StepTooLarge):  # refused before any key or worker
-        qdyn.simulate_ensemble(psi, None, (0.0, 0.0, 0.0, 100.0), 1.0, 1e-3, 0.01, n_trajectories=5)
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait)
-    waiter.start()
-    try:
-        assert len(qdyn.simulate_ensemble(*args, n_trajectories=5)) == 5
-    finally:
-        release.set()
-        waiter.join(timeout=10)
-    assert not waiter.is_alive()
-    with monkeypatch.context() as m:
-        # Python 3.10's executor forks its later workers after starting a thread
-        m.setattr(sys, "version_info", (3, 10, 14, "final", 0))
-        assert len(qdyn.simulate_ensemble(*args, n_trajectories=5)) == 5
-    _cores(monkeypatch, 1)
-    assert len(qdyn.simulate_ensemble(*args, n_trajectories=5)) == 5
-    _assert_no_child_left()
-
-
-def _ensemble_without_forking(kw):
-    os.fork = _no_fork  # this process is a worker of the test's own pool
-    return [r.states for r in qdyn.simulate_ensemble(**kw)]
-
-
-@pytest.mark.parametrize("pool_kind", ["Pool", "ProcessPoolExecutor"])
-def test_a_multiprocessing_worker_runs_its_ensemble_in_its_own_process(pool_kind, monkeypatch):
-    # a Pool worker is daemonic, so it may not have children; an executor's
-    # worker may, but each of its siblings would fork as many again
-    _small_pool(monkeypatch)
-    kw = dict(
-        psi0=qdyn.basis_superposition(0, 1), h=None, a=A_REF, lam=1.0, dt=1e-3, t=0.01,
-        n_trajectories=5, seed=4,
+@pytest.mark.parametrize("state", ["uniform", "random"])
+def test_exact_ensemble_average_matches_lindblad_within_5_standard_errors(state):
+    # entrywise, real and imaginary parts, at three times; the standard error of
+    # each entry is the sample standard deviation of psi_i psi_k^* over sqrt(n),
+    # and RK4 at dt = 1e-4 is within 1e-13 of the exact state
+    psi = _oracle_states()[state]
+    times = [0.1, 0.3, 1.0]
+    n = 20_000
+    records = qdyn.simulate_ensemble(
+        psi, None, A_REF, 1.0, 1e-3, 1.0, n_trajectories=n, seed=5, sample_times=times
     )
-    fork = multiprocessing.get_context("fork")
-    if pool_kind == "Pool":
-        with fork.Pool(1) as pool:
-            got = pool.apply(_ensemble_without_forking, (kw,))
-            pool.close()
-            pool.join()
-    else:
-        with concurrent.futures.ProcessPoolExecutor(1, mp_context=fork) as pool:
-            got = pool.submit(_ensemble_without_forking, kw).result()
-    _assert_no_child_left()
-    _cores(monkeypatch, 1)
-    want = [r.states for r in qdyn.simulate_ensemble(**kw)]
-    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    _, exact = qdyn.lindblad_path(_projector(psi), None, A_REF, 1.0, 1e-4, times)
+    for idx, rho in enumerate(exact):
+        finals = np.stack([r.states[idx] for r in records])
+        projectors = np.einsum("ni,nj->nij", finals, finals.conj())
+        for part in (np.real, np.imag):
+            mean, se = _mean_and_se(part(projectors))
+            assert np.all(np.abs(mean - part(rho)) <= 5.0 * se + 1e-12)
+        assert np.allclose(qdyn.ensemble_average(records, at=times[idx]), np.mean(projectors, axis=0))
+
+
+def test_exact_member_replays_bitwise_across_batches_and_sizes(monkeypatch):
+    # member _BATCH runs alone in the second batch; with batches of 2 every
+    # member sits elsewhere in its batch, and an ensemble of 3 holds the first 3
+    psi = _oracle_states()["random"]
+    args = (psi, None, A_REF, 1.3, 1e-3, 0.1)
+    kw = dict(sample_times=[0.0, 0.004, 0.05, 0.1], collapse_threshold=0.5)
+    n = qdyn._BATCH + 1
+    records = qdyn.simulate_ensemble(*args, n_trajectories=n, seed=42, **kw)
+    assert any(r.outcome is not None for r in records)
+    for i in (0, 1, 2, qdyn._BATCH - 1, qdyn._BATCH):
+        solo = qdyn.sde_trajectory(*args, seed=qdyn.derive_trajectory_seed(42, i), **kw)
+        assert records[i].seed == solo.seed
+        assert records[i].states.tobytes() == solo.states.tobytes()
+        assert records[i].outcome == solo.outcome
+    few = qdyn.simulate_ensemble(*args, n_trajectories=3, seed=42, **kw)
+    assert all(f.states.tobytes() == r.states.tobytes() for f, r in zip(few, records))
+    monkeypatch.setattr(qdyn, "_BATCH", 2)
+    pairs = qdyn.simulate_ensemble(*args, n_trajectories=n, seed=42, **kw)
+    assert all(p.states.tobytes() == r.states.tobytes() for p, r in zip(pairs, records))
+    assert [p.outcome for p in pairs] == [r.outcome for r in records]
+
+
+def test_exact_fixed_points_zero_amplitudes_and_phases():
+    sample_times = np.linspace(0.0, 0.5, 11)
+    # without collapse every sample is psi0 up to the normalisation's rounding
+    psi = _oracle_states()["random"]
+    for rec in qdyn.simulate_ensemble(psi, None, A_REF, 0.0, 1e-3, 0.5, n_trajectories=5,
+                                      sample_times=sample_times):
+        assert rec.states[0].tobytes() == psi.tobytes()
+        assert np.allclose(rec.states, psi, rtol=0.0, atol=1e-15)
+    # a basis state is an eigenstate of A: it stays put exactly
+    for k in range(4):
+        basis = np.eye(4, dtype=complex)[k]
+        for rec in qdyn.simulate_ensemble(basis, None, A_REF, 1.0, 1e-3, 0.5, n_trajectories=5,
+                                          sample_times=sample_times):
+            assert np.array_equal(rec.states, np.tile(basis, (11, 1)))
+            assert rec.outcome == k
+    # amplitudes zero at the start stay exactly zero; the others keep their phases
+    psi = np.array([0.6 * np.exp(0.4j), 0.0, 0.8 * np.exp(-2.1j), 0.0])
+    for rec in qdyn.simulate_ensemble(psi, None, A_REF, 1.3, 1e-3, 0.5, n_trajectories=50,
+                                      sample_times=sample_times):
+        assert not rec.states[:, [1, 3]].any()
+        for k in (0, 2):
+            ratio = rec.states[:, k] / psi[k]
+            assert np.all(ratio.real >= 0.0)
+            assert np.all(np.abs(ratio.imag) <= 1e-15 * np.abs(ratio))
+
+
+@pytest.mark.parametrize(
+    "a, lam, dt, t",
+    [
+        ((0.0, 1e300, 0.0, 0.0), 1.0, 1e-3, 1.0),
+        ((0.0, 1e300, 0.0, 0.0), 1e308, 1e-3, 1e6),  # MAX_SDE_STEPS steps
+        ((1e300, 0.0, 5e299, 1e300), 1e308, 1e299, 1e308),  # sqrt(lam) W_t overflows
+        (A_REF, 1e308, 1e-3, 0.01),
+        (A_REF, 5e-324, 1e-3, 0.01),
+        ((7.0, 7.0, 7.0, 7.0), 1e308, 1e299, 1e308),
+    ],
+)
+def test_exact_collapse_of_extreme_inputs_is_finite_and_normalised(a, lam, dt, t):
+    psi = _oracle_states()["uniform"]
+    assert qdyn.step_count(t, dt) <= qdyn.MAX_SDE_STEPS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = qdyn.simulate_ensemble(
+            psi, None, a, lam, dt, t, n_trajectories=20, seed=3, sample_times=[0.0, dt, t / 2, t]
+        )
+    states = np.stack([r.states for r in records])
+    assert np.isfinite(states).all()
+    assert np.allclose(np.linalg.norm(states, axis=2), 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_euler_with_zero_hamiltonian_agrees_with_exact_sampling():
+    # Euler-Maruyama is weak order 1: allow a bias of lam (max gap)^2 dt t on
+    # each entry of the mean projector, plus 5 standard errors of the difference
+    # of two independent means
+    psi = _oracle_states()["uniform"]
+    lam, dt, t, n = 1.0, 1e-4, 0.3, 2000
+    bias = lam * (max(A_REF) - min(A_REF)) ** 2 * dt * t
+    runs = []
+    for h in (None, np.zeros((4, 4))):
+        records = qdyn.simulate_ensemble(psi, h, A_REF, lam, dt, t, n_trajectories=n, seed=9)
+        finals = np.stack([r.final_state for r in records])
+        runs.append(np.einsum("ni,nj->nij", finals, finals.conj()))
+    for part in (np.real, np.imag):
+        (exact, exact_se), (euler, euler_se) = (_mean_and_se(part(p)) for p in runs)
+        band = 5.0 * np.sqrt(exact_se**2 + euler_se**2) + bias + 1e-12
+        assert np.all(np.abs(exact - euler) <= band)
 
 
 def test_sde_refuses_too_many_steps_before_deriving_seeds(monkeypatch):
@@ -838,6 +837,7 @@ def test_ensemble_count_is_a_positive_integer_up_to_the_member_indices(count, mo
 
     monkeypatch.setattr(qdyn, "derive_trajectory_seed", no_seeds)
     monkeypatch.setattr(qdyn, "_evolve_sde_batch", no_batches)
+    monkeypatch.setattr(qdyn, "_collapse_exactly", no_batches)
     psi = qdyn.basis_superposition(0, 1)
     with pytest.raises(ValueError, match=rf"n_trajectories {re.escape(repr(count))}"):
         qdyn.simulate_ensemble(psi, None, A_REF, 1.0, 1e-3, 0.01, n_trajectories=count)
