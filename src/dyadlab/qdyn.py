@@ -27,12 +27,18 @@ Two complementary pictures of the same process:
   ``psi0_k exp(D_k (sqrt(lam) W_t - lam t D_k))`` with ``D_k = a_k - a_j``.
   The engine samples that exactly, at the sample times and the final time
   only (:func:`_collapse_exactly`), so ``dt`` sets the sample grid and no
-  step is too large.  With ``H``, including a zero matrix, it integrates by
-  Euler-Maruyama with renormalization after every step; a step with
-  ``(lam/2) dt (max a - min a)^2 >= 1``, or with ``dt ||H|| >= 1`` for the
-  spectral norm of ``H``, is refused before any noise is drawn, with
-  :class:`StepTooLarge`.  Averaging the projectors of many trajectories
-  reproduces the ensemble picture.
+  step is too large.  With ``H``, including a zero matrix, it takes Lie-Trotter
+  split steps (:func:`_evolve_sde_batch`): each multiplies amplitude ``k``
+  by the collapse factor ``exp(sqrt(lam) a_k dY - lam a_k^2 dt)``, with
+  ``dY = dW + 2 sqrt(lam) <A> dt``, the exact solution over the step of the
+  linear form of the equation with ``<A>`` held (Jacobs & Steck), then
+  applies ``U = exp(-iH dt)``, built once per run from ``np.linalg.eigh``.
+  Both parts are exact and the factor is positive for any ``dt``, so no step
+  is refused for its size; the splitting is weak order 1.  A step whose
+  exponents would leave the float range (``lam dt (max a - min a)^2`` past
+  ``_EXPONENT_LIMIT``, or an infinite ``dt ||H||``) is refused before any
+  noise is drawn, with :class:`StepTooLarge`.  Averaging the projectors of
+  many trajectories reproduces the ensemble picture.
 
 Both pictures see ``A`` only through ``lam``, so with ``lam = 0`` they
 integrate with ``A = 0`` and no eigenvalue gap, however large, trips a guard.
@@ -48,16 +54,16 @@ it runs up to ``_BATCH`` trajectories together and re-keys one Philox
 generator per trajectory instead of building one.  A stream is fixed by its
 key alone, so re-keying writes the key's two words into one reused state
 dict; a trajectory's own state is saved only when more noise follows.
-Euler-Maruyama draws the noise ``_NOISE_CHUNK`` steps at a time, so noise
+The split step draws the noise ``_NOISE_CHUNK`` steps at a time, so noise
 memory is ``_BATCH x _NOISE_CHUNK`` floats however long the run.  Neither
 method's arithmetic depends on the batch or the chunking, so trajectory ``i``
-is reproducible bitwise regardless of how many trajectories are run.
-Euler-Maruyama holds a batch as real and imaginary planes, component-major,
-updated in place.  ``<A>`` is still ``p @ a``, and the ``H`` term one complex
-matrix product, on (rows, 4) arrays: their BLAS calls fix the rounding, so
-the planes reproduce the complex-form step bitwise.  An SDE run of more than
-``MAX_SDE_STEPS`` steps is refused with ValueError.  Ensemble averaging is an
-order-independent reduction over immutable records.
+is reproducible bitwise regardless of how many trajectories are run.  The
+split step holds a batch as real and imaginary planes, component-major, and
+updates all rows with one array call per operation, 14 a step; its real
+matrix products keep the batch in their last axis, where BLAS rounds each
+trajectory alike in any batch of two or more (one is run as two).  An SDE
+run of more than ``MAX_SDE_STEPS`` steps is refused with ValueError.
+Ensemble averaging is an order-independent reduction over immutable records.
 """
 
 from __future__ import annotations
@@ -80,8 +86,13 @@ COHERENCE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # a time: the noise block holds _BATCH x _NOISE_CHUNK floats (8 MB).
 _BATCH = 1000
 _NOISE_CHUNK = 1024
-# Steps per SDE trajectory: the grid of an exact sample, or hours of Euler-Maruyama.
+# Steps per SDE trajectory: the grid of an exact sample, or hours of split steps.
 MAX_SDE_STEPS = 10**9
+# Largest lam dt (max a - min a)^2 a split step takes: every exponent it forms
+# then stays below 6 times this, inside the float range.
+_EXPONENT_LIMIT = 1e307
+# exp of a larger argument overflows.
+_EXP_ARG_MAX = 709.0
 
 _STATE_ATOL = 1e-10
 _PSD_ATOL = 1e-8
@@ -509,109 +520,159 @@ def _collapse_exactly(psi0, a, lam, dt, n_steps, sample_steps, keys):
     return states[:, np.searchsorted(steps, sample_steps, side="right")], states[:, -1]
 
 
-def _planes(z: np.ndarray) -> np.ndarray:
-    """Float view of the complex ``(..., 4)`` array ``z`` with the axes reversed:
-    part (real, imaginary) first, then component, then the leading axes."""
-    return z.view(np.float64).reshape(*z.shape, 2).T
+def _split_step_tables(h, a, lam, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(u, moments, exponents)`` of the split step of :func:`_evolve_sde_batch`.
+
+    With ``b = sqrt(lam dt) a`` (``a`` shifted to start at 0):
+
+    * ``u`` is ``U = exp(-iH dt)`` as the real 8x8 matrix that maps the parts
+      ``[Re psi; Im psi]`` to those of ``U psi``, built from ``np.linalg.eigh(h)``;
+    * ``moments`` maps the squared parts to the populations ``p_k``, then
+      ``sum b_k p_k`` and ``s = sum p_k``, then two zeros;
+    * ``exponents`` maps ``[beta, z, 1]``, with ``beta = sqrt(lam dt) <A>`` and
+      ``z`` the step's standard normal, to the collapse exponent
+      ``b_k z + 2 b_k beta - b_k^2``, which is
+      ``sqrt(lam) a_k dY - lam a_k^2 dt`` for ``dY = dW + 2 sqrt(lam) <A> dt``,
+      twice over (for the real and the imaginary parts), then to twice it.
+
+    With ``lam dt (max a)^2`` at most ``_EXPONENT_LIMIT``, every entry and
+    every exponent a step forms from them is finite.  Raises StepTooLarge,
+    before any noise is drawn, when ``lam dt (max a)^2`` passes that limit
+    or ``dt ||H||`` overflows.
+    """
+    w, v = np.linalg.eigh(h)
+    # Python floats: dt times a huge norm overflows to inf without a warning
+    h_step = float(dt) * float(np.max(np.abs(w)))
+    if not math.isfinite(h_step):
+        raise StepTooLarge(
+            f"split step dt={dt:g} makes dt*|H| overflow, so exp(-iH dt) has no phase; reduce dt"
+        )
+    u = (v * np.exp(-1j * (dt * w))) @ v.conj().T
+    root = math.sqrt(lam) * math.sqrt(dt)
+    gap = float(a.max())
+    spread = (root * gap) * (root * gap)  # Python floats: inf on overflow, without a warning
+    if not spread <= _EXPONENT_LIMIT:
+        raise StepTooLarge(
+            f"split step dt={dt:g} makes lam dt gap^2 = {spread:.6g}, past {_EXPONENT_LIMIT:g}, "
+            f"for eigenvalue gap {gap:g}, so its collapse exponents overflow; reduce dt"
+        )
+    b = root * a
+    # 8 rows, not the 6 used: OpenBLAS's SSE kernels (Prescott to Barcelona) round
+    # a 6-row product by the batch it sits in, and every kernel tried rounds an
+    # 8x8 or a 12x3 one alike in any batch of two or more
+    moments = np.zeros((2 * DIM, 2 * DIM))
+    moments[:DIM, :DIM] = moments[:DIM, DIM:] = np.eye(DIM)
+    moments[DIM] = np.tile(b, 2)
+    moments[DIM + 1] = 1.0
+    exponent = np.stack((2.0 * b, b, -(b * b)), axis=1)
+    return (
+        np.block([[u.real, -u.imag], [u.imag, u.real]]),
+        moments,
+        np.concatenate((exponent, exponent, 2.0 * exponent)),
+    )
 
 
-def _evolve_sde_batch(psi0, h, a, lam, dt, n_steps, sample_steps, keys):
-    """Advance one trajectory per stream key; returns (samples, final states).
+def _evolve_sde_batch(psi0, u, moments, exponents, n_steps, sample_steps, keys):
+    """Advance one trajectory per stream key by Lie-Trotter split steps;
+    returns the ``(rows, samples, 4)`` states at ``sample_steps`` and the
+    ``(rows, 4)`` states after ``n_steps``.
+
+    A step multiplies each amplitude by the exact solution, over the step, of
+    the linear collapse equation ``d(psi) = [sqrt(lam) A dY - (lam/2) A^2 dt] psi``
+    with ``dY = dW + 2 sqrt(lam) <A> dt`` and ``<A>`` held at its value at the
+    start of the step (Jacobs & Steck, Contemp. Phys. 47, 279 (2006)): the
+    factor ``exp(sqrt(lam) a_k dY - lam a_k^2 dt)``.  It then applies
+    ``U = exp(-iH dt)``.  Both are exact for any ``dt``, and the factor is
+    positive, so no step is too large; the splitting is first order.  The
+    tables come from :func:`_split_step_tables`.
+
+    The batch is held as real planes, component-major: ``planes[j]`` and
+    ``planes[4 + j]`` are the real and imaginary parts of amplitude ``j``
+    across the rows, and every update is one array call over all rows, 14 a
+    step.  The state is not normalised between samples.  Instead each row's
+    exponents are reduced by ``max_k(exponent_k + log|psi_k|)`` over its
+    populated amplitudes, so that the largest amplitude after the factor has
+    modulus 1 and no exponent overflows; an amplitude that is zero stays
+    zero.  Samples and final states are normalised.
 
     Row ``r`` draws its Wiener increments from the Philox stream keyed by
     ``keys[r]``, ``_NOISE_CHUNK`` steps at a time into one reused
     (rows, chunk) block, by re-keying one Philox bit generator.  The draws
     equal one ``standard_normal(n_steps)`` of ``Philox(key=keys[r])``, and
-    the arithmetic is identical for any batch size, so single runs and
-    ensemble members agree bitwise.
-
-    The state is held as real planes, component-major: ``z[0, j]`` and
-    ``z[1, j]`` are the real and imaginary parts of amplitude ``j`` across
-    the rows, so every update is one in-place ufunc over contiguous rows.
-
-    The arithmetic is that of the complex form ``psi += gain * psi - 1j dt
-    psi @ h.T; psi /= norm``, bit for bit.  Multiplying by a real ``gain``
-    and dividing by ``norm + 0j`` round each part as multiplying it by
-    ``gain`` and by ``1 / norm`` do, and the planes hold no -0.0 for the
-    two forms to round apart.  ``<A>`` stays ``p @ a`` on a C-contiguous
-    (rows, 4) array of populations, and the Hamiltonian term
-    the complex (rows, 4) product filled from the planes: both keep the
-    BLAS call, and so the rounding, of the complex form.
+    each row's arithmetic does not depend on the others or on their number,
+    so single runs and ensemble members agree bitwise.
     """
     batch = len(keys)
     if batch == 1:
-        # numpy rounds a one-row ``p @ a`` differently from the same row in a larger batch.
-        samples, psi = _evolve_sde_batch(
-            psi0, h, a, lam, dt, n_steps, sample_steps, [keys[0], keys[0]]
+        # numpy rounds a product with one row differently from the same row in a larger batch
+        samples, final = _evolve_sde_batch(
+            psi0, u, moments, exponents, n_steps, sample_steps, [keys[0], keys[0]]
         )
-        return samples[:1], psi[:1]
-    h_t = h.T
-    h_step = -1j * dt
-    psi = np.empty((batch, DIM), dtype=complex)
-    h_psi = np.empty((batch, DIM), dtype=complex)
-    psi_planes, h_psi_planes = _planes(psi), _planes(h_psi)
-    z = np.empty((2, DIM, batch))
-    # adding 0.0 turns a -0.0 part into +0.0, as the first complex step does
-    z[...] = np.stack((psi0.real, psi0.imag))[:, :, None] + 0.0
-    a_col = a[:, None]
-    sqrt_dt = math.sqrt(dt)
-    sqrt_lam = math.sqrt(lam)
-    half_lam_dt = 0.5 * lam * dt
-    pops = np.empty((batch, DIM))
-    pops_t = pops.T
-    sq = np.empty_like(z)
-    sq_re, sq_im = sq
-    dz = np.empty_like(z)
-    mean = np.empty(batch)
-    dw = np.empty(batch)
-    centered = np.empty((DIM, batch))
-    gain = np.empty((DIM, batch))
-    norm_terms = np.empty((DIM, batch))
-    norm = np.empty(batch)
-    out = np.zeros((batch, len(sample_steps), DIM), dtype=complex)
-    out_planes = _planes(out)
-    pos = 0
-    if sample_steps and sample_steps[0] == 0:
-        out[:, 0, :] = psi0
-        pos = 1
+        return samples[:1], final[:1]
+    planes = np.empty((2 * DIM, batch))
+    planes[:DIM] = psi0.real[:, None]
+    planes[DIM:] = psi0.imag[:, None]
+    stepped = np.empty_like(planes)
+    squares = np.empty_like(planes)
+    moment = np.empty((len(moments), batch))
+    pops, weighted, total = moment[:DIM], moment[DIM], moment[DIM + 1]
+    x = np.ones((3, batch))  # beta, z, 1
+    beta, z = x[0], x[1]
+    exponent = np.empty((len(exponents), batch))
+    factor, double = exponent[: 2 * DIM], exponent[2 * DIM :]
+    top = np.empty((DIM, batch))
+    top_row = np.empty(batch)
+    # the states at the sample steps, then the final state, as they are and their
+    # norms; psi0 keeps norm 1
+    states = np.empty((batch, len(sample_steps) + 1, DIM), dtype=complex)
+    parts = states.view(np.float64).reshape(batch, -1, DIM, 2)
+    norms = np.ones((len(sample_steps) + 1, batch))
+    due = iter(sample_steps + [-1])  # the sample steps, ascending; -1 comes up after the last
+    pos, next_sample = 0, next(due)
+    if next_sample == 0:
+        states[:, 0] = psi0
+        pos, next_sample = 1, next(due)
     gen = np.random.Generator(np.random.Philox(0))
     streams = list(map(int, keys))  # _draw_noise tells a key from a saved state by type
     block = np.empty((batch, min(_NOISE_CHUNK, n_steps)))
-    # the loop is bound by call overhead for small batches: look the ufuncs up once
-    square, add, subtract, multiply = np.square, np.add, np.subtract, np.multiply
-    for step in range(n_steps):
-        col = step % _NOISE_CHUNK
-        if col == 0:
-            width = min(_NOISE_CHUNK, n_steps - step)
-            _draw_noise(gen, streams, block, width, keep=step + width < n_steps)
-        square(z, out=sq)
-        add(sq_re, sq_im, out=pops_t)
-        np.matmul(pops, a, out=mean)
-        subtract(a_col, mean, out=centered)
-        multiply(sqrt_lam, centered, out=gain)
-        multiply(block[:, col], sqrt_dt, out=dw)
-        multiply(gain, dw, out=gain)
-        square(centered, out=centered)
-        multiply(half_lam_dt, centered, out=centered)
-        subtract(gain, centered, out=gain)
-        multiply(gain, z, out=dz)
-        np.copyto(psi_planes, z)
-        np.matmul(psi, h_t, out=h_psi)
-        multiply(h_step, h_psi, out=h_psi)
-        add(dz, h_psi_planes, out=dz)
-        add(z, dz, out=z)
-        square(z, out=sq)
-        add(sq_re, sq_im, out=norm_terms)
-        add.reduce(norm_terms, axis=0, out=norm)
-        np.sqrt(norm, out=norm)
-        np.divide(1.0, norm, out=norm)
-        multiply(z, norm, out=z)
-        if pos < len(sample_steps) and sample_steps[pos] == step + 1:
-            out_planes[:, :, pos] = z
-            pos += 1
-    final = np.empty((batch, DIM), dtype=complex)
-    _planes(final)[...] = z
-    return out, final
+    # the loop is bound by call overhead for small batches: look the functions up once
+    # (np.dot costs less per call than np.matmul, and rounds alike)
+    square, dot, divide, log, add = np.square, np.dot, np.divide, np.log, np.add
+    peak, multiply, subtract = np.maximum.reduce, np.multiply, np.subtract
+    minimum, exp = np.minimum, np.exp
+    with np.errstate(divide="ignore"):  # log(0) = -inf keeps a zero amplitude out of the max
+        for start in range(0, n_steps, _NOISE_CHUNK):
+            width = min(_NOISE_CHUNK, n_steps - start)
+            _draw_noise(gen, streams, block, width, keep=start + width < n_steps)
+            for step, noise in enumerate(block.T[:width], start + 1):  # step: steps done after it
+                square(planes, out=squares)
+                dot(moments, squares, out=moment)
+                divide(weighted, total, out=beta)
+                z[:] = noise
+                dot(exponents, x, out=exponent)
+                # twice max_k(exponent_k + log|psi_k|), then the exponents reduced by half of it
+                log(pops, out=top)
+                add(top, double, out=top)
+                peak(top, axis=0, out=top_row)
+                multiply(top_row, 0.5, out=top_row)
+                subtract(factor, top_row, out=factor)
+                # caps only amplitudes below exp(-709), zero ones among them
+                minimum(factor, _EXP_ARG_MAX, out=factor)
+                exp(factor, out=factor)
+                multiply(planes, factor, out=planes)
+                dot(u, planes, out=stepped)
+                planes, stepped = stepped, planes
+                if step == next_sample:
+                    parts[:, pos] = planes.reshape(2, DIM, batch).T
+                    np.add.reduce(square(planes, out=squares), axis=0, out=norms[pos])
+                    pos, next_sample = pos + 1, next(due)
+    if n_steps:
+        parts[:, -1] = planes.reshape(2, DIM, batch).T
+        np.add.reduce(square(planes, out=squares), axis=0, out=norms[-1])
+    else:
+        states[:, -1] = psi0
+    parts /= np.sqrt(norms).T[:, :, None, None]
+    return states[:, :-1], states[:, -1]
 
 
 def _collapse_outcomes(finals: np.ndarray, threshold: float) -> list[int | None]:
@@ -626,7 +687,7 @@ def _trajectories(
     psi0, h, a, lam, dt, t, keys, sample_times, collapse_threshold
 ) -> list[TrajectoryRecord]:
     """Run one trajectory per stream key, ``_BATCH`` at a time: sampled
-    exactly without a Hamiltonian, integrated by Euler-Maruyama with one.
+    exactly without a Hamiltonian, integrated by split steps with one.
 
     ``keys`` is consumed lazily, after every input is validated and the step
     checked, so a refused run derives no key.
@@ -645,25 +706,8 @@ def _trajectories(
     if h is None:
         kernel, args = _collapse_exactly, (psi0, shifted, lam, dt, n_steps, steps)
     else:
-        # |a_i - <A>| <= gap, so the drift factor 1 - (lam/2) dt (a_i - <A>)^2 stays
-        # positive below this bound; past it a step flips the sign of amplitudes.
-        # The margin is NaN when gap^2 overflows and lam dt underflows to 0: the
-        # step would then multiply 0 by inf
-        gap = float(shifted.max())
-        margin = 0.5 * lam * dt * (gap * gap)
-        if not margin < 1.0:
-            raise StepTooLarge(
-                f"Euler-Maruyama step dt={dt:g} makes (lam/2) dt gap^2 = {margin:.6g}, not below 1, "
-                f"for eigenvalue gap {gap:g}, so the drift factor is not positive; reduce dt"
-            )
-        # a Python float: dt times a huge norm overflows to inf without a warning
-        h_step = float(dt) * float(np.max(np.abs(np.linalg.eigvalsh(h))))
-        if not h_step < 1.0:
-            raise StepTooLarge(
-                f"Euler-Maruyama step dt={dt:g} makes dt*|H| = {h_step:.6g}, not below 1, "
-                "for the spectral norm |H| of the Hamiltonian; reduce dt"
-            )
-        kernel, args = _evolve_sde_batch, (psi0, h, shifted, lam, dt, n_steps, steps)
+        tables = _split_step_tables(h, shifted, lam, dt)
+        kernel, args = _evolve_sde_batch, (psi0, *tables, n_steps, steps)
     eigenvalues, record_lam, record_dt = tuple(a.tolist()), float(lam), float(dt)
     records: list[TrajectoryRecord] = []
     keys = iter(keys)

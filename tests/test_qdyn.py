@@ -258,21 +258,26 @@ def test_ensemble_members_match_individual_runs_bitwise():
         assert np.array_equal(records[i].states, solo.states)
 
 
-def test_sde_refuses_step_with_nonpositive_drift_factor():
-    # (lam/2) dt gap^2 = 1 at gap sqrt(2000) ~ 44.72 for lam = 1, dt = 1e-3; the
-    # bound is Euler-Maruyama's, so it holds with a Hamiltonian, even a zero one,
-    # and the exact sampler without one takes any step
+def _finite_and_normalised(records):
+    states = np.stack([r.states for r in records])
+    return np.isfinite(states).all() and np.allclose(
+        np.linalg.norm(states, axis=2), 1.0, rtol=0.0, atol=1e-12
+    )
+
+
+def test_sde_split_step_takes_steps_with_large_collapse_exponents():
+    # (lam/2) dt gap^2 passes 1 at gap sqrt(2000) ~ 44.72 for lam = 1, dt = 1e-3,
+    # where an Euler-Maruyama drift factor turns negative; the split step's
+    # collapse factor is an exponential, positive for any step, with a zero
+    # Hamiltonian as without one
     psi = qdyn.basis_superposition(0, 1)
     zero_h = np.zeros((4, 4))
-    rec = qdyn.sde_trajectory(psi, zero_h, (0.0, 44.7, 0.0, 0.0), 1.0, 1e-3, 0.05, seed=1)
-    assert np.allclose(np.linalg.norm(rec.states, axis=1), 1.0, atol=1e-12)
-    for a in ((0.0, 44.73, 0.0, 0.0), (0.0, 200.0, 0.0, 0.0)):
-        with pytest.raises(StepTooLarge, match="drift factor"):
-            qdyn.sde_trajectory(psi, zero_h, a, 1.0, 1e-3, 0.05, seed=1)
-        with pytest.raises(StepTooLarge, match="drift factor"):
-            qdyn.simulate_ensemble(psi, zero_h, a, 1.0, 1e-3, 0.05, n_trajectories=3)
-        records = qdyn.simulate_ensemble(psi, None, a, 1.0, 1e-3, 0.05, n_trajectories=3)
-        assert all(np.allclose(np.linalg.norm(r.states, axis=1), 1.0, atol=1e-12) for r in records)
+    for a in ((0.0, 44.7, 0.0, 0.0), (0.0, 44.73, 0.0, 0.0), (0.0, 200.0, 0.0, 0.0)):
+        for h in (zero_h, None):
+            rec = qdyn.sde_trajectory(psi, h, a, 1.0, 1e-3, 0.05, seed=1)
+            assert _finite_and_normalised([rec])
+            records = qdyn.simulate_ensemble(psi, h, a, 1.0, 1e-3, 0.05, n_trajectories=3)
+            assert _finite_and_normalised(records)
     # without collapse (lam = 0) A drops out, so a gap whose square overflows runs
     uniform = np.ones(4, dtype=complex) / 2.0
     big = (0.0, 1e300, 0.0, 0.0)
@@ -281,23 +286,18 @@ def test_sde_refuses_step_with_nonpositive_drift_factor():
     assert len(rec.states) == 3 and all(np.array_equal(s, uniform) for s in rec.states)
 
 
-def test_sde_refuses_step_with_dt_times_hamiltonian_norm_at_least_1(monkeypatch):
-    # |swap_hamiltonian()| = pi, so dt |H| = 1 at dt = 1/pi ~ 0.3183
+def test_sde_split_step_takes_steps_with_dt_times_hamiltonian_norm_past_1():
+    # |swap_hamiltonian()| = pi, so dt |H| = 1 at dt = 1/pi ~ 0.3183; U = exp(-iH dt)
+    # is exact for any step, and at dt = 1 it is the swap gate
     psi = qdyn.basis_superposition(0, 1)
     h = qdyn.swap_hamiltonian()
-    rec = qdyn.sde_trajectory(psi, h, np.zeros(4), 1.0, 0.318, 0.636, seed=1)
-    assert np.allclose(np.linalg.norm(rec.states, axis=1), 1.0, atol=1e-12)
-
-    def no_seeds(master, index):
-        raise AssertionError("a seed was derived before the step was checked")
-
-    monkeypatch.setattr(qdyn, "derive_trajectory_seed", no_seeds)
-    # the second is finite but overflowed to NaN states before this guard
-    for a, scale, dt in ((np.zeros(4), 1.0, 0.3184), (A_REF, 1e300, 1e-3)):
-        with pytest.raises(StepTooLarge, match=r"dt\*\|H\|"):
-            qdyn.sde_trajectory(psi, scale * h, a, 1.0, dt, 10 * dt, seed=1)
-        with pytest.raises(StepTooLarge, match=r"dt\*\|H\|"):
-            qdyn.simulate_ensemble(psi, scale * h, a, 1.0, dt, 10 * dt, n_trajectories=3)
+    for a, scale, dt in ((np.zeros(4), 1.0, 0.318), (np.zeros(4), 1.0, 0.3184), (A_REF, 1e300, 1e-3)):
+        rec = qdyn.sde_trajectory(psi, scale * h, a, 1.0, dt, 10 * dt, seed=1)
+        assert _finite_and_normalised([rec])
+        records = qdyn.simulate_ensemble(psi, scale * h, a, 1.0, dt, 10 * dt, n_trajectories=3)
+        assert _finite_and_normalised(records)
+    rec = qdyn.sde_trajectory(psi, h, np.zeros(4), 1.0, 1.0, 1.0, seed=1)
+    assert np.allclose(rec.final_state, qdyn.basis_superposition(0, 2), rtol=0.0, atol=1e-12)
 
 
 # Inside RK4's stability region, yet the unequal RK4 factors of the six
@@ -491,7 +491,7 @@ def test_ensemble_independent_of_noise_chunk(monkeypatch):
 
 def test_sde_noise_memory_is_bounded_by_the_chunk():
     # 1000 x 5000 steps would be a 40 MB noise array; the chunk keeps it at 8 MB.
-    # Only Euler-Maruyama draws per step, so the run passes a (zero) Hamiltonian
+    # Only the split step draws per step, so the run passes a (zero) Hamiltonian
     psi = qdyn.basis_superposition(0, 1)
     tracemalloc.start()
     try:
@@ -505,40 +505,27 @@ def test_sde_noise_memory_is_bounded_by_the_chunk():
     assert peak < 16 * 2**20
 
 
-def _complex_reference_kernel(psi0, h, a, lam, dt, n_steps, sample_steps, keys):
-    """The engine kernel in complex, row-major form: the bitwise reference."""
-    batch = len(keys)
-    if batch == 1:
-        # numpy rounds a one-row ``p @ a`` differently from the same row in a larger batch.
-        samples, psi = _complex_reference_kernel(
-            psi0, h, a, lam, dt, n_steps, sample_steps, [keys[0], keys[0]]
-        )
-        return samples[:1], psi[:1]
-    psi = np.tile(psi0, (batch, 1)).astype(complex)
-    h_t = h.T
-    sqrt_dt = math.sqrt(dt)
-    sqrt_lam = math.sqrt(lam)
-    out = np.empty((batch, len(sample_steps), qdyn.DIM), dtype=complex)
-    pos = 0
-    if sample_steps and sample_steps[0] == 0:
-        out[:, 0, :] = psi
-        pos = 1
-    # each row's normals in one draw from its own Philox(key=...)
-    noise = np.stack([np.random.Generator(np.random.Philox(key=k)).standard_normal(n_steps) for k in keys])
-    for step in range(n_steps):
-        p = psi.real**2 + psi.imag**2
-        centered = a[None, :] - (p @ a)[:, None]
-        dw = noise[:, step] * sqrt_dt
-        gain = sqrt_lam * centered * dw[:, None] - 0.5 * lam * dt * centered**2
-        dpsi = gain * psi
-        dpsi = dpsi + (-1j * dt) * (psi @ h_t)
-        psi = psi + dpsi
-        norm = np.sqrt((psi.real**2 + psi.imag**2).sum(axis=1))
-        psi = psi / norm[:, None]
-        if pos < len(sample_steps) and sample_steps[pos] == step + 1:
-            out[:, pos, :] = psi
-            pos += 1
-    return out, psi
+def _split_step_reference(psi0, h, a, lam, dt, n_steps, sample_steps, key):
+    """One trajectory of the split step, in complex form, row by row.
+
+    ``psi <- exp(sqrt(lam) a dY - lam a^2 dt) psi`` with
+    ``dY = sqrt(dt) z + 2 sqrt(lam) <A> dt``, then ``psi <- U psi / |psi|`` with
+    ``U = expm(-iH dt)``; the noise is one draw from ``Philox(key=key)``.
+    """
+    from scipy.linalg import expm
+
+    u = expm(-1j * dt * np.asarray(h, dtype=complex))
+    a = np.asarray(a, dtype=float) - min(a) if lam else np.zeros(4)
+    noise = np.random.Generator(np.random.Philox(key=key)).standard_normal(n_steps)
+    psi = np.array(psi0, dtype=complex)
+    states = {0: psi}
+    for step, z in enumerate(noise, 1):
+        p = np.abs(psi) ** 2
+        d_y = math.sqrt(dt) * z + 2.0 * math.sqrt(lam) * (p @ a) / p.sum() * dt
+        psi = np.exp(math.sqrt(lam) * a * d_y - lam * a**2 * dt) * psi
+        psi = u @ (psi / np.linalg.norm(psi))
+        states[step] = psi
+    return np.stack([states[s] for s in sample_steps])
 
 
 def _oracle_states():
@@ -558,30 +545,26 @@ def _oracle_states():
 @pytest.mark.parametrize("with_h", [False, True], ids=["H_none", "H_swap"])
 @pytest.mark.parametrize("state", sorted(_oracle_states()))
 def test_sde_kernel_matches_complex_reference_bitwise(state, with_h, lam, monkeypatch):
-    # 11 steps are noise chunks of 4, 4 and 3; samples at step 0, mid-chunk and the end.
-    # H_none has no Hamiltonian term: it passes the zero matrix, which keeps the
-    # run on Euler-Maruyama (without a matrix the engine samples exactly)
+    # every member is within 1e-12 of the row-by-row complex reference, and
+    # bitwise the same in batches of 1, 2, 5 and _BATCH + 1.  11 steps are noise
+    # chunks of 4, 4 and 3; samples at step 0, mid-chunk and the end.  H_none
+    # passes the zero matrix, which keeps the run on split steps (without a
+    # matrix the engine samples exactly)
     psi = _oracle_states()[state]
     h = qdyn.swap_hamiltonian() if with_h else np.zeros((4, 4))
     monkeypatch.setattr(qdyn, "_NOISE_CHUNK", 4)
     args = (psi, h, A_REF, lam, 2e-3, 0.022)
     kw = dict(seed=5, sample_times=[0.0, 0.012, 0.022], collapse_threshold=0.5)
-    shifted = np.array(A_REF) - min(A_REF) if lam else np.zeros(4)
-    for n in (1, 2, 5):
-        keys = [qdyn.derive_trajectory_seed(5, i) for i in range(n)]
-        got, want = (
-            kernel(psi, h, shifted, lam, 2e-3, 11, [0, 6, 11], keys)
-            for kernel in (qdyn._evolve_sde_batch, _complex_reference_kernel)
-        )
-        assert got[0].tobytes() == want[0].tobytes()  # samples
-        assert got[1].tobytes() == want[1].tobytes()  # final states
-    for n in (1, 2, qdyn._BATCH + 1):
+    first = None
+    for n in (qdyn._BATCH + 1, 5, 2, 1):
         records = qdyn.simulate_ensemble(*args, n_trajectories=n, **kw)
-        with monkeypatch.context() as patch:
-            patch.setattr(qdyn, "_evolve_sde_batch", _complex_reference_kernel)
-            reference = qdyn.simulate_ensemble(*args, n_trajectories=n, **kw)
-        assert all(r.states.tobytes() == ref.states.tobytes() for r, ref in zip(records, reference))
-        assert [r.outcome for r in records] == [r.outcome for r in reference]
+        for i in {0, n - 1}:
+            want = _split_step_reference(psi, h, A_REF, lam, 2e-3, 11, [0, 6, 11], records[i].seed)
+            assert np.allclose(records[i].states, want, rtol=0.0, atol=1e-12)
+        head = np.stack([r.states for r in records[:5]])
+        if first is None:
+            first = head
+        assert head.tobytes() == first[:n].tobytes()
 
 
 def _mean_and_se(values):
@@ -697,10 +680,99 @@ def test_exact_collapse_of_extreme_inputs_is_finite_and_normalised(a, lam, dt, t
     assert np.allclose(np.linalg.norm(states, axis=2), 1.0, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "state, a, lam, dt, t, scale",
+    [
+        ("uniform", (0.0, 1e150, 0.0, 0.0), 1.0, 1e-3, 1.0, 1.0),  # lam dt gap^2 = 1e297
+        ("uniform", (0.0, 1e300, 0.0, 0.0), 1e-300, 1e-3, 1.0, 1.0),
+        ("uniform", (0.0, 1e300, 0.0, 0.0), 0.0, 1e-3, 1.0, 1e300),
+        ("uniform", A_REF, 1e308, 1e-3, 0.01, 1.0),
+        ("uniform", A_REF, 5e-324, 1e-3, 0.01, 1.0),
+        ("uniform", (7.0, 7.0, 7.0, 7.0), 1e308, 1.0, 10.0, 1.0),
+        ("uniform", A_REF, 1.0, 1.0, 10.0, 1.0),
+        ("uniform", A_REF, 1.0, 1e-3, 0.01, 1e300),
+        ("random", A_REF, 1e308, 1e-3, 0.01, 1e300),
+        # the swap never populates |11>, whose exponent is then far the largest
+        ("pair_00_01", (0.0, 2e140, 0.0, 1e140), 1.0, 1e-3, 1.0, 1.0),
+    ],
+)
+def test_split_step_of_extreme_inputs_is_finite_and_normalised(state, a, lam, dt, t, scale):
+    psi = _oracle_states()[state]
+    h = scale * qdyn.swap_hamiltonian()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = qdyn.simulate_ensemble(
+            psi, h, a, lam, dt, t, n_trajectories=20, seed=3, sample_times=[0.0, dt, t / 2, t]
+        )
+    assert _finite_and_normalised(records)
+    if state == "pair_00_01":
+        assert not any(r.states[:, 3].any() for r in records)
+
+
+@pytest.mark.parametrize(
+    "a, lam, dt, scale, message",
+    [
+        ((0.0, 1e300, 0.0, 0.0), 1.0, 1e-3, 1.0, "collapse exponents overflow"),
+        (A_REF, 1e308, 1.0, 1.0, "collapse exponents overflow"),
+        (A_REF, 1.0, 1e10, 1e300, r"dt\*\|H\| overflow"),
+    ],
+)
+def test_split_step_refuses_overflowing_exponents_before_any_noise(
+    a, lam, dt, scale, message, monkeypatch
+):
+    def no_noise(*args):
+        raise AssertionError("noise was drawn for a refused run")
+
+    monkeypatch.setattr(qdyn, "_draw_noise", no_noise)
+    psi = _oracle_states()["uniform"]
+    h = scale * qdyn.swap_hamiltonian()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepTooLarge, match=message):
+            qdyn.sde_trajectory(psi, h, a, lam, dt, dt, seed=1)
+        with pytest.raises(StepTooLarge, match=message):
+            qdyn.simulate_ensemble(psi, h, a, lam, dt, dt, n_trajectories=3)
+
+
+@pytest.mark.parametrize("state", ["pair_00_01", "uniform", "random"])
+def test_split_step_without_collapse_is_the_exact_unitary(state):
+    # with lam = 0 each step is U = exp(-iH dt) alone, so every sample is
+    # exp(-iHt) psi0 up to round-off, however coarse the step
+    psi = _oracle_states()[state]
+    rng = np.random.default_rng(8)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    sample_times = np.linspace(0.0, 1.0, 11)
+    for h in (qdyn.swap_hamiltonian(), m + m.conj().T):
+        w, v = np.linalg.eigh(h)
+        exact = [v @ (np.exp(-1j * w * t) * (v.conj().T @ psi)) for t in sample_times]
+        for dt in (1e-3, 0.1):
+            rec = qdyn.sde_trajectory(psi, h, A_REF, 0.0, dt, 1.0, seed=2, sample_times=sample_times)
+            assert np.allclose(rec.states, exact, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("state", ["uniform", "pair_00_01"])
+@pytest.mark.parametrize("dt", [1e-2, 1e-3])
+def test_split_step_ensemble_converges_weakly_to_lindblad(state, dt):
+    # the split step is weak order 1: entrywise, real and imaginary parts, the
+    # ensemble average at t = 1 is within 5 standard errors of the exact state
+    # plus c dt, with c = 0.1 (lam (max gap)^2 + |H|^2) t, about 4.6 here
+    psi = _oracle_states()[state]
+    h = qdyn.swap_hamiltonian()
+    lam, t, n = 1.0, 1.0, 10_000
+    c = 0.1 * (lam * (max(A_REF) - min(A_REF)) ** 2 + math.pi**2) * t
+    records = qdyn.simulate_ensemble(psi, h, A_REF, lam, dt, t, n_trajectories=n, seed=21)
+    _, (exact,) = qdyn.lindblad_path(_projector(psi), h, A_REF, lam, 1e-4, [t])
+    finals = np.stack([r.final_state for r in records])
+    projectors = np.einsum("ni,nj->nij", finals, finals.conj())
+    for part in (np.real, np.imag):
+        mean, se = _mean_and_se(part(projectors))
+        assert np.all(np.abs(mean - part(exact)) <= 5.0 * se + c * dt + 1e-12)
+
+
 def test_euler_with_zero_hamiltonian_agrees_with_exact_sampling():
-    # Euler-Maruyama is weak order 1: allow a bias of lam (max gap)^2 dt t on
-    # each entry of the mean projector, plus 5 standard errors of the difference
-    # of two independent means
+    # a zero matrix runs split steps, which are weak order 1 as Euler-Maruyama
+    # is: allow a bias of lam (max gap)^2 dt t on each entry of the mean
+    # projector, plus 5 standard errors of the difference of two independent means
     psi = _oracle_states()["uniform"]
     lam, dt, t, n = 1.0, 1e-4, 0.3, 2000
     bias = lam * (max(A_REF) - min(A_REF)) ** 2 * dt * t
