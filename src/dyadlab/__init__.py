@@ -4,122 +4,90 @@ Classical integrated information and Q-shapes for two-unit feedback
 circuits, distance-constrained collapse-operator optimization, deterministic
 and stochastic simulation of the resulting collapse dynamics, and the
 density-operator version of the integrated-information calculus.
+
+The package imports lazily (PEP 562): ``import dyadlab`` loads no submodule,
+and each name below loads its submodule on first access, so the classical
+calculus (``model``, ``phi``, ``qshape``) runs without importing numpy.
 """
 
-from .errors import (
-    DependencyMismatch,
-    DyadError,
-    GridMismatch,
-    InfeasibleTable,
-    InfiniteDivergence,
-    KLUndefined,
-    NotCrossCoupled,
-    NotUnitary,
-    StepTooLarge,
-    UnsupportedState,
-    ZeroMarginal,
-)
-from .model import ALL_STATES, DyadState, Tpm2, identity_tpm, not_swap, swap
-from .optimizer import (
-    SWAP_TABLE,
-    EigenAssignment,
-    OptimizationResult,
-    feasible,
-    grid_oracle,
-    pairwise_rate_sum,
-    solve,
-)
-from .phi import PhiReport, big_phi, noised_effect_prob, phi_cause, phi_effect, phi_unit
-from .qdyn import (
-    TrajectoryRecord,
-    build_collapse_operator,
-    coherence_decay_rate,
-    derive_trajectory_seed,
-    ensemble_average,
-    lindblad_evolve,
-    lindblad_path,
-    prepare_dyad_superposition,
-    sde_trajectory,
-    simulate_ensemble,
-    trace_distance,
-)
-from .qiit import (
-    QuantumPhiReport,
-    qid,
-    quantum_big_phi,
-    quantum_phi_unit,
-    quantum_relative_entropy,
-    spectral_ensemble,
-    swap_unitary,
-    unitary_step,
-)
-from .qshape import (
-    QShape,
-    QShape4Style,
-    build_qshape,
-    build_qshape_iit4,
-    distance_table,
-    qshape_distance,
-    row_distance,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_STATES",
-    "DependencyMismatch",
-    "DyadError",
-    "DyadState",
-    "EigenAssignment",
-    "GridMismatch",
-    "InfeasibleTable",
-    "InfiniteDivergence",
-    "KLUndefined",
-    "NotCrossCoupled",
-    "NotUnitary",
-    "OptimizationResult",
-    "PhiReport",
-    "QShape",
-    "QShape4Style",
-    "QuantumPhiReport",
-    "StepTooLarge",
-    "SWAP_TABLE",
-    "Tpm2",
-    "TrajectoryRecord",
-    "UnsupportedState",
-    "ZeroMarginal",
-    "big_phi",
-    "build_collapse_operator",
-    "build_qshape",
-    "build_qshape_iit4",
-    "coherence_decay_rate",
-    "derive_trajectory_seed",
-    "distance_table",
-    "ensemble_average",
-    "feasible",
-    "grid_oracle",
-    "identity_tpm",
-    "lindblad_evolve",
-    "lindblad_path",
-    "noised_effect_prob",
-    "not_swap",
-    "pairwise_rate_sum",
-    "phi_cause",
-    "phi_effect",
-    "phi_unit",
-    "prepare_dyad_superposition",
-    "qid",
-    "qshape_distance",
-    "quantum_big_phi",
-    "quantum_phi_unit",
-    "quantum_relative_entropy",
-    "row_distance",
-    "sde_trajectory",
-    "simulate_ensemble",
-    "solve",
-    "spectral_ensemble",
-    "swap",
-    "swap_unitary",
-    "trace_distance",
-    "unitary_step",
-]
+# Public names by the submodule that defines them.
+_EXPORTS = {
+    "errors": (
+        "DependencyMismatch",
+        "DyadError",
+        "GridMismatch",
+        "InfeasibleTable",
+        "InfiniteDivergence",
+        "KLUndefined",
+        "NotCrossCoupled",
+        "NotUnitary",
+        "StepTooLarge",
+        "UnsupportedState",
+        "ZeroMarginal",
+    ),
+    "model": ("ALL_STATES", "DyadState", "Tpm2", "identity_tpm", "not_swap", "swap"),
+    "optimizer": (
+        "SWAP_TABLE",
+        "EigenAssignment",
+        "OptimizationResult",
+        "feasible",
+        "grid_oracle",
+        "pairwise_rate_sum",
+        "solve",
+    ),
+    "phi": ("PhiReport", "big_phi", "noised_effect_prob", "phi_cause", "phi_effect", "phi_unit"),
+    "qdyn": (
+        "TrajectoryRecord",
+        "build_collapse_operator",
+        "coherence_decay_rate",
+        "derive_trajectory_seed",
+        "ensemble_average",
+        "lindblad_evolve",
+        "lindblad_path",
+        "prepare_dyad_superposition",
+        "sde_trajectory",
+        "simulate_ensemble",
+        "trace_distance",
+    ),
+    "qiit": (
+        "QuantumPhiReport",
+        "qid",
+        "quantum_big_phi",
+        "quantum_phi_unit",
+        "quantum_relative_entropy",
+        "spectral_ensemble",
+        "swap_unitary",
+        "unitary_step",
+    ),
+    "qshape": (
+        "QShape",
+        "QShape4Style",
+        "build_qshape",
+        "build_qshape_iit4",
+        "distance_table",
+        "qshape_distance",
+        "row_distance",
+    ),
+}
+_SUBMODULES = ("cli", *_EXPORTS)
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -10,6 +10,9 @@ numerical guard trips (for example an unstable ``simulate lindblad`` step).
 
 If the environment variable ``DYADLAB_OUT_DIR`` is set, relative ``--output``
 paths are resolved inside that directory.
+
+Each handler imports the modules it uses, so ``phi``, ``qshape``,
+``distances`` and argument errors run without importing numpy.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import model, optimizer, phi, qdyn, qiit, qshape
+from . import model, phi, qshape
 from .errors import DyadError, KLUndefined, StepTooLarge
+
+if TYPE_CHECKING:  # numpy is imported by the handlers that run linear algebra
+    import numpy as np
 
 ENV_OUT_DIR = "DYADLAB_OUT_DIR"
 # Largest CSV time series: 10^5 Lindblad rows already take about 150 MB and 7 s.
@@ -32,7 +37,7 @@ MAX_CSV_ROWS = 10**5
 CSV_COLUMNS = (
     "time",
     *(f"p{label}" for label in model.STATE_LABELS),
-    *(f"coh_{i}{k}" for i, k in qdyn.COHERENCE_PAIRS),
+    *(f"coh_{i}{k}" for i, k in model.COHERENCE_PAIRS),
 )
 
 
@@ -68,6 +73,8 @@ def _parse_tpm(text: str) -> model.Tpm2:
 
 
 def _parse_eigenvalues(text: str) -> np.ndarray:
+    from . import qdyn
+
     try:
         values = [float(v) for v in text.split(",")]
         return qdyn.build_collapse_operator(values)
@@ -105,9 +112,11 @@ def _csv_text(rows) -> str:
 
 
 def _csv_row(time: float, rho: np.ndarray) -> list:
+    from . import qdyn
+
     pops = [float(rho[i, i].real) for i in range(4)]
     cohs = qdyn.coherence_magnitudes(rho)
-    return [float(time), *pops, *(cohs[f"{i}{k}"] for i, k in qdyn.COHERENCE_PAIRS)]
+    return [float(time), *pops, *(cohs[f"{i}{k}"] for i, k in model.COHERENCE_PAIRS)]
 
 
 def cmd_phi(args) -> int:
@@ -121,7 +130,7 @@ def cmd_phi(args) -> int:
 
 def _part_points(shape: qshape.QShape) -> dict:
     """Each part's flattened 8-d point, keyed by unit."""
-    return {unit: shape.part_point(unit).tolist() for unit in model.UNITS}
+    return {unit: list(shape.part_point(unit)) for unit in model.UNITS}
 
 
 def cmd_qshape(args) -> int:
@@ -157,14 +166,14 @@ def cmd_qshape(args) -> int:
 def cmd_distances(args) -> int:
     tpm = _parse_tpm(args.tpm)
     try:
-        table = qshape.distance_table(tpm, metric=args.metric)
+        table = qshape.distance_rows(tpm, metric=args.metric)
     except KLUndefined as exc:
         raise UsageError(f"metric {args.metric!r} is undefined on these Q-shapes: {exc}")
     payload = {
         "metric": args.metric,
         "metric_is_default": args.metric == qshape.DEFAULT_METRIC,
         "states": list(model.STATE_LABELS),
-        "table": table.tolist(),
+        "table": table,
     }
     if args.points:
         payload["points"] = {
@@ -175,6 +184,8 @@ def cmd_distances(args) -> int:
 
 
 def _load_table(path: str | None) -> np.ndarray:
+    from . import optimizer
+
     if path is None:
         return optimizer.SWAP_TABLE
     data = _read_json(path, "distance table")
@@ -185,6 +196,8 @@ def _load_table(path: str | None) -> np.ndarray:
 
 
 def cmd_optimize(args) -> int:
+    from . import optimizer
+
     table = _load_table(args.table)
     result = optimizer.solve(table)
     payload = {"table": table.tolist(), **result.to_json()}
@@ -202,6 +215,10 @@ def cmd_optimize(args) -> int:
 
 
 def _initial_pure_state(args) -> np.ndarray:
+    import numpy as np
+
+    from . import qdyn
+
     if args.pair is not None:
         i, k = (_parse_state(p).index for p in args.pair)
         if i == k:
@@ -213,6 +230,8 @@ def _initial_pure_state(args) -> np.ndarray:
 
 
 def _default_eigenvalues() -> np.ndarray:
+    from . import optimizer, qdyn
+
     pick = optimizer.solve(optimizer.SWAP_TABLE).default_pick
     return qdyn.build_collapse_operator(pick)
 
@@ -233,6 +252,10 @@ def _csv_sample_times(t: float, dt: float, samples: int) -> np.ndarray:
     that many every step is one row.  More than ``MAX_CSV_ROWS`` rows are
     refused before any of them is built.
     """
+    import numpy as np
+
+    from . import qdyn
+
     rows = min(samples, qdyn.step_count(t, dt) + 1)
     if rows > MAX_CSV_ROWS:
         raise UsageError(f"--format csv would print {rows} rows, more than the {MAX_CSV_ROWS} allowed")
@@ -240,6 +263,10 @@ def _csv_sample_times(t: float, dt: float, samples: int) -> np.ndarray:
 
 
 def cmd_simulate_lindblad(args) -> int:
+    import numpy as np
+
+    from . import qdyn
+
     a, psi0 = _simulation_inputs(args)
     rho0 = np.outer(psi0, psi0.conj())
     if args.t < 0:
@@ -270,6 +297,10 @@ def cmd_simulate_lindblad(args) -> int:
 
 
 def cmd_simulate_sde(args) -> int:
+    import numpy as np
+
+    from . import qdyn
+
     a, psi0 = _simulation_inputs(args)
     if args.trajectories <= 0:
         raise UsageError("--trajectories must be positive")
@@ -328,6 +359,8 @@ def cmd_simulate_sde(args) -> int:
 
 
 def _parse_amplitudes(path: str) -> np.ndarray:
+    import numpy as np
+
     data = _read_json(path, "amplitudes")
     try:
         # a list must be an exact [re, im] pair; complex() refuses any other list
@@ -347,23 +380,23 @@ def _parse_amplitudes(path: str) -> np.ndarray:
     return psi / norm
 
 
-_QPHI_STATES = {
-    "plus0": lambda: qdyn.prepare_dyad_superposition(),
-    "0plus": lambda: np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / math.sqrt(2.0),
-}
-
-
 def cmd_qphi(args) -> int:
+    import numpy as np
+
+    from . import qdyn, qiit
+
     if args.amplitudes:
         psi = _parse_amplitudes(args.amplitudes)
         label = "custom"
-    elif args.state in _QPHI_STATES:
-        psi = _QPHI_STATES[args.state]()
-        label = args.state
     else:
-        psi = np.zeros(4, dtype=complex)
-        psi[_parse_state(args.state).index] = 1.0
         label = args.state
+        if label == "plus0":
+            psi = qdyn.prepare_dyad_superposition()
+        elif label == "0plus":
+            psi = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / math.sqrt(2.0)
+        else:
+            psi = np.zeros(4, dtype=complex)
+            psi[_parse_state(label).index] = 1.0
     rho = np.outer(psi, psi.conj())
     report = qiit.quantum_big_phi(rho)
     payload = {"state": label, **report.to_json()}

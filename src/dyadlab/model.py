@@ -91,6 +91,8 @@ def _state_index(value, entry: int) -> int:
 
 ALL_STATES = tuple(DyadState.from_index(i) for i in range(4))
 STATE_LABELS = tuple(s.label for s in ALL_STATES)
+# Index pairs (i, k), i < k, of the six entries above a density matrix's diagonal.
+COHERENCE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class Tpm2:

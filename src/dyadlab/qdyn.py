@@ -76,12 +76,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, StepTooLarge
-from .model import Tpm2
+from .model import COHERENCE_PAIRS, Tpm2
 from .model import swap as _swap_rule
 from .optimizer import EigenAssignment
 
 DIM = 4
-COHERENCE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # Trajectories integrated together, and steps of noise drawn per trajectory at
 # a time: the noise block holds _BATCH x _NOISE_CHUNK floats (8 MB).
 _BATCH = 1000

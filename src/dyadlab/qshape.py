@@ -11,16 +11,19 @@ The default row metric is total variation, which assigns 0 to equal rows and
 earth-mover distance under the discrete 0/1 ground metric is the same
 quantity, so ``emd`` names the total-variation rule; a guarded
 Kullback-Leibler divergence is available for comparison.
+
+The arithmetic is plain Python over 4-entry rows, so Q-shapes need no numpy;
+only ``distance_table`` returns an ndarray.  Sums run left to right, as
+numpy sums four entries, on every Python version.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import KLUndefined, NotCrossCoupled
-from .model import ALL_STATES, UNIT_A, UNIT_B, DyadState, Tpm2, other_unit
+from .model import ALL_STATES, UNIT_A, UNIT_B, DyadState, Tpm2
 from .phi import big_phi
 
 ROW_LABELS = ("A_effect", "A_cause", "B_effect", "B_cause")
@@ -28,40 +31,51 @@ ROW_LABELS = ("A_effect", "A_cause", "B_effect", "B_cause")
 DEFAULT_METRIC = "tv"
 
 
-def validate_distribution(p, atol: float = 1e-12) -> np.ndarray:
-    """Check non-negativity and normalization; return the vector as float64."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (4,):
+def validate_distribution(p, atol: float = 1e-12) -> tuple:
+    """Check non-negativity and normalization; return the four entries as floats.
+
+    ``p`` is a 4-entry list, tuple or 1-d array of reals.  A scalar, a nested
+    or ragged sequence and an array of any other shape are refused with
+    ``ValueError``, as are non-finite and negative entries and a sum off 1.
+    """
+    if getattr(p, "ndim", 1) != 1:
         raise ValueError(f"distribution must have 4 entries, got shape {p.shape}")
-    if not np.isfinite(p).all():
+    try:
+        row = tuple(map(float, p))
+    except TypeError as exc:  # a scalar, or an entry that is itself a sequence
+        raise ValueError(f"distribution must be a sequence of 4 numbers: {exc}") from None
+    if len(row) != 4:
+        raise ValueError(f"distribution must have 4 entries, got {len(row)}")
+    if not all(map(math.isfinite, row)):
         raise ValueError("distribution has a non-finite entry")
-    if not (p >= -atol).all():
+    if min(row) < -atol:
         raise ValueError("distribution has negative entries")
-    if not abs(p.sum() - 1.0) <= atol:
-        raise ValueError(f"distribution sums to {p.sum()!r}, not 1")
-    return p
+    total = row[0] + row[1] + row[2] + row[3]
+    if not abs(total - 1.0) <= atol:
+        raise ValueError(f"distribution sums to {total!r}, not 1")
+    return row
 
 
 @dataclass(frozen=True, eq=False)
 class QShape:
-    """Four-row matrix of cause/effect distributions for one source state."""
+    """Four rows of cause/effect distributions for one source state, as 4-tuples."""
 
-    rows: np.ndarray
+    rows: tuple
     source_state: DyadState
 
-    def part_point(self, unit: str) -> np.ndarray:
-        """The part's effect and cause rows flattened to one 8-vector."""
+    def part_point(self, unit: str) -> tuple:
+        """The part's effect and cause rows flattened to 8 floats."""
         if unit == UNIT_A:
-            return self.rows[0:2].reshape(8)
+            return self.rows[0] + self.rows[1]
         if unit == UNIT_B:
-            return self.rows[2:4].reshape(8)
+            return self.rows[2] + self.rows[3]
         raise ValueError(f"unknown unit {unit!r}")
 
     def to_json(self) -> dict:
         return {
             "state": self.source_state.to_json(),
             "row_labels": list(ROW_LABELS),
-            "rows": self.rows.tolist(),
+            "rows": [list(row) for row in self.rows],
         }
 
 
@@ -69,23 +83,22 @@ def build_qshape(tpm: Tpm2, state: DyadState) -> QShape:
     """Build the Q-shape of ``state`` under a cross-coupled bijective rule."""
     if not tpm.is_cross_coupled:
         raise NotCrossCoupled("Q-shapes require a cross-coupled transition rule")
-    rows = np.zeros((4, 4))
-    for r, (unit, direction) in enumerate(
-        ((UNIT_A, "effect"), (UNIT_A, "cause"), (UNIT_B, "effect"), (UNIT_B, "cause"))
+    rows = []
+    for unit, direction in (
+        (UNIT_A, "effect"), (UNIT_A, "cause"), (UNIT_B, "effect"), (UNIT_B, "cause")
     ):
-        partner = other_unit(unit)
+        row = [0.0] * 4
         kept = state.value(unit)
         for partner_value in (0, 1):
             member = DyadState(kept, partner_value) if unit == UNIT_A else DyadState(partner_value, kept)
             if direction == "effect":
-                rows[r, tpm.apply(member).index] += 0.5
+                row[tpm.apply(member).index] += 0.5
             else:
                 preds = tpm.predecessors(member)
                 for pred in preds:
-                    rows[r, pred.index] += 0.5 / len(preds)
-    for r in range(4):
-        validate_distribution(rows[r])
-    return QShape(rows=rows, source_state=state)
+                    row[pred.index] += 0.5 / len(preds)
+        rows.append(validate_distribution(row))
+    return QShape(rows=tuple(rows), source_state=state)
 
 
 @dataclass(frozen=True)
@@ -126,9 +139,10 @@ def build_qshape_iit4(tpm: Tpm2, state: DyadState) -> QShape4Style:
 
 def total_variation(p, q) -> float:
     """0.5 * sum |p_i - q_i|."""
-    p = validate_distribution(p)
-    q = validate_distribution(q)
-    return 0.5 * float(np.abs(p - q).sum())
+    total = 0.0
+    for pi, qi in zip(validate_distribution(p), validate_distribution(q)):
+        total += abs(pi - qi)
+    return 0.5 * total
 
 
 # Earth-mover distance under the discrete 0/1 ground metric: only mass that
@@ -140,12 +154,13 @@ earth_mover = total_variation
 
 def kl_divergence(p, q) -> float:
     """Kullback-Leibler divergence in bits, guarded against q=0 where p>0."""
-    p = validate_distribution(p)
-    q = validate_distribution(q)
-    support = p > 0
-    if np.any(q[support] == 0):
+    pairs = [(pi, qi) for pi, qi in zip(validate_distribution(p), validate_distribution(q)) if pi > 0]
+    if any(qi == 0 for _, qi in pairs):
         raise KLUndefined("q has zero mass where p is positive")
-    return float(np.sum(p[support] * np.log2(p[support] / q[support])))
+    total = 0.0
+    for pi, qi in pairs:
+        total += pi * math.log2(pi / qi)
+    return total
 
 
 METRICS = {"tv": total_variation, "emd": earth_mover, "kl": kl_divergence}
@@ -162,15 +177,24 @@ def row_distance(p, q, metric: str = DEFAULT_METRIC) -> float:
 
 def qshape_distance(q1: QShape, q2: QShape, metric: str = DEFAULT_METRIC) -> float:
     """Sum of row distances between two Q-shapes."""
-    return sum(row_distance(q1.rows[r], q2.rows[r], metric) for r in range(4))
+    total = 0.0
+    for p, q in zip(q1.rows, q2.rows):
+        total += row_distance(p, q, metric)
+    return total
 
 
-def distance_table(tpm: Tpm2, metric: str = DEFAULT_METRIC) -> np.ndarray:
-    """All pairwise Q-shape distances for the rule's four states."""
+def distance_rows(tpm: Tpm2, metric: str = DEFAULT_METRIC) -> list:
+    """All pairwise Q-shape distances for the rule's four states, as four lists of floats."""
     shapes = [build_qshape(tpm, s) for s in ALL_STATES]
-    table = np.zeros((4, 4))
+    table = [[0.0] * 4 for _ in range(4)]
     for i in range(4):
         for j in range(i + 1, 4):
-            d = qshape_distance(shapes[i], shapes[j], metric)
-            table[i, j] = table[j, i] = d
+            table[i][j] = table[j][i] = qshape_distance(shapes[i], shapes[j], metric)
     return table
+
+
+def distance_table(tpm: Tpm2, metric: str = DEFAULT_METRIC):
+    """``distance_rows`` as a 4x4 float ndarray."""
+    import numpy as np  # here, so the rest of the module runs without numpy
+
+    return np.array(distance_rows(tpm, metric))

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism, schemas."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -631,6 +632,94 @@ def test_emd_commands_run_with_scipy_blocked(argv):
     blocked = _dyadlab_process("import sys; sys.modules['scipy'] = None; " + run, *argv)
     assert free.returncode == 0 and blocked.returncode == 0, blocked.stderr
     assert blocked.stdout == free.stdout
+
+
+def test_package_and_cli_import_loads_no_numpy():
+    proc = _dyadlab_process(
+        "import sys, dyadlab\n"
+        "bare = 'numpy' in sys.modules\n"
+        "import dyadlab.cli\n"
+        "print(bare, 'numpy' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
+# The commands that run no linear algebra, with the exit code each expects.
+NUMPY_FREE_COMMANDS = [
+    (["--help"], 0),
+    (["phi", "--state", "10"], 0),
+    (["phi", "--tpm", "identity", "--state", "00"], 0),
+    *((["qshape", "--state", "10", "--metric", m], 0) for m in ("tv", "emd", "kl")),
+    (["distances", "--metric", "tv"], 0),
+    (["distances", "--metric", "emd"], 0),
+    (["distances", "--metric", "kl"], 2),  # KL is undefined on most pairs of Q-shapes
+    (["distances", "--points"], 0),
+    (["phi", "--state", "2"], 2),
+]
+# Runs each argv of the JSON list in sys.argv[1] through cli.main in turn and
+# prints a JSON list of [exit code, stdout]; an exception takes the exit code's place.
+_RUN_EACH = """
+import contextlib, io, json, sys
+from dyadlab import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = repr(exc)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def numpy_free_runs():
+    """[exit code, stdout] of every NUMPY_FREE_COMMANDS entry: run freely, and with numpy blocked."""
+    argvs = json.dumps([argv for argv, _ in NUMPY_FREE_COMMANDS])
+    free = _dyadlab_process(_RUN_EACH, argvs)
+    blocked = _dyadlab_process("import sys; sys.modules['numpy'] = None\n" + _RUN_EACH, argvs)
+    assert free.returncode == 0 and blocked.returncode == 0, blocked.stderr
+    return json.loads(free.stdout), json.loads(blocked.stdout)
+
+
+@pytest.mark.parametrize("case", range(len(NUMPY_FREE_COMMANDS)))
+def test_numpy_free_commands_run_with_numpy_blocked(numpy_free_runs, case):
+    free, blocked = (runs[case] for runs in numpy_free_runs)
+    assert free[0] == NUMPY_FREE_COMMANDS[case][1], free
+    assert blocked == free
+
+
+# The README commands that run without numpy, with the first 12 hex digits of
+# the sha256 of their stdout, unchanged since they ran on numpy.
+README_DIGESTS = [
+    (["phi", "--state", "10"], "cbf100b25141"),
+    (["phi", "--tpm", "identity", "--state", "00"], "9b1afc9bc9ca"),
+    (["qshape", "--state", "10"], "8427e35326d9"),
+    (["qshape", "--state", "10", "--metric", "kl"], "32fd7abe6c0d"),
+    (["distances"], "5de72d0df1b5"),
+    (["distances", "--metric", "emd"], "5c60f07e1284"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", README_DIGESTS)
+def test_numpy_free_readme_commands_print_frozen_bytes(capsys, argv, digest):
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:12] == digest
+
+
+def test_optimize_loads_neither_qdyn_nor_qiit():
+    proc = _dyadlab_process(
+        "import sys; from dyadlab.cli import main\n"
+        "assert main(['optimize']) == 0\n"
+        "print(sorted(m for m in ('dyadlab.qdyn', 'dyadlab.qiit') if m in sys.modules), file=sys.stderr)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"
 
 
 def test_help_exits_zero():

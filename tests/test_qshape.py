@@ -5,6 +5,8 @@ The library's earth-mover distance is total variation, which the discrete
 16-variable transport linear program, solved by scipy, check it.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -322,3 +324,109 @@ def test_part_points_flatten_rows():
     shape = _swap_shapes()["10"]
     assert np.array_equal(shape.part_point("A"), Q10[0:2].reshape(8))
     assert np.array_equal(shape.part_point("B"), Q10[2:4].reshape(8))
+
+
+def test_rows_and_part_points_are_plain_floats():
+    shape = _swap_shapes()["10"]
+    assert isinstance(shape.rows, tuple) and len(shape.rows) == 4
+    assert all(isinstance(row, tuple) and len(row) == 4 for row in shape.rows)
+    assert all(type(v) is float for row in shape.rows for v in row)
+    point = shape.part_point("B")
+    assert len(point) == 8 and all(type(v) is float for v in point)
+
+
+def _numpy_row_distance(p, q, metric):
+    """The numpy formulas the row metrics were first written with."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if metric == "kl":
+        support = p > 0
+        if np.any(q[support] == 0):
+            return None
+        return float(np.sum(p[support] * np.log2(p[support] / q[support])))
+    return 0.5 * float(np.abs(p - q).sum())
+
+
+@pytest.mark.parametrize("metric", sorted(qshape.METRICS))
+def test_distances_equal_the_numpy_formulas_bitwise(cross_coupled_tpms, metric):
+    for tpm in cross_coupled_tpms:
+        shapes = [qshape.build_qshape(tpm, s) for s in ALL_STATES]
+        want = np.zeros((4, 4))
+        for i, j in itertools.product(range(4), repeat=2):
+            rows = [_numpy_row_distance(p, q, metric) for p, q in zip(shapes[i].rows, shapes[j].rows)]
+            if None in rows:
+                want[i, j] = np.nan
+                with pytest.raises(KLUndefined):
+                    qshape.qshape_distance(shapes[i], shapes[j], metric)
+            else:
+                want[i, j] = sum(rows)
+                assert qshape.qshape_distance(shapes[i], shapes[j], metric) == want[i, j]
+        if np.isnan(want).any():
+            with pytest.raises(KLUndefined):
+                qshape.distance_table(tpm, metric)
+            continue
+        table = qshape.distance_table(tpm, metric)
+        assert isinstance(table, np.ndarray) and table.dtype == float
+        assert np.array_equal(table, want)
+        assert qshape.distance_rows(tpm, metric) == want.tolist()
+
+
+@pytest.mark.parametrize("metric", sorted(qshape.METRICS))
+def test_row_distances_equal_the_numpy_formulas_bitwise(cross_coupled_tpms, metric):
+    rows = sorted(set(_generated_rows(cross_coupled_tpms)))
+    defined = 0
+    for p in rows:
+        for q in rows:
+            want = _numpy_row_distance(p, q, metric)
+            if want is None:
+                with pytest.raises(KLUndefined):
+                    qshape.row_distance(p, q, metric)
+            else:
+                assert qshape.row_distance(p, q, metric) == want
+                defined += 1
+    # KL is defined only between equal rows: distinct rows put mass where the other has none
+    assert defined == (len(rows) if metric == "kl" else len(rows) ** 2)
+
+
+def test_row_metrics_match_the_numpy_formulas_on_random_rows(rng):
+    for _ in range(200):
+        p, q = rng.random(4), rng.random(4)
+        p, q = p / p.sum(), q / q.sum()
+        assert qshape.total_variation(p, q) == _numpy_row_distance(p, q, "tv")
+        # math.log2 and np.log2 may round an argument that is not a power of 2 differently
+        assert qshape.kl_divergence(p, q) == pytest.approx(_numpy_row_distance(p, q, "kl"), rel=1e-14, abs=1e-15)
+
+
+VALID_ROW = [0.25, 0.5, 0.0, 0.25]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        0.25,
+        np.float64(1.0),
+        np.full((2, 2), 0.25),
+        np.full((4, 1), 0.25),
+        [[0.25, 0.25], 0.25, 0.25, 0.25],
+        [[0.25]] * 4,
+        [0.5, 0.25, 0.25],
+        [0.2] * 5,
+        [np.nan, 0.5, 0.25, 0.25],
+        [np.inf, 0.0, 0.0, 0.0],
+        [0.5, -np.inf, 0.25, 0.25],
+        [1.5, -0.5, 0.0, 0.0],
+        [0.25, 0.25, 0.25, 0.2],
+        [0.5, 0.5, 0.5, 0.5],
+    ],
+    ids=["scalar", "numpy-scalar", "2d-array", "column", "ragged", "nested", "3-entries",
+         "5-entries", "nan", "inf", "-inf", "negative", "sum-below-1", "sum-above-1"],
+)
+def test_validate_distribution_refuses_what_is_not_a_distribution(bad):
+    with pytest.raises(ValueError):
+        qshape.validate_distribution(bad)
+
+
+@pytest.mark.parametrize("row", [VALID_ROW, tuple(VALID_ROW), np.array(VALID_ROW)], ids=["list", "tuple", "ndarray"])
+def test_validate_distribution_accepts_lists_tuples_and_arrays(row):
+    out = qshape.validate_distribution(row)
+    assert out == tuple(VALID_ROW)
+    assert all(type(v) is float for v in out)
