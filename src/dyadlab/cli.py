@@ -7,9 +7,13 @@ CSV with a fixed field order, and all randomness flows from ``--seed``
 
 Exit codes: 0 on success, 2 for invalid arguments or inputs, 3 when a
 numerical guard trips (for example an unstable ``simulate lindblad`` step).
+A JSON input file (``--tpm``, ``--table``, ``--amplitudes``) that cannot be
+read or parsed, and an ``--output`` path that cannot be written, are invalid
+arguments.
 
-If the environment variable ``DYADLAB_OUT_DIR`` is set, relative ``--output``
-paths are resolved inside that directory.
+Each handler returns its output text, and :func:`main` writes it to stdout or
+to ``--output``.  If the environment variable ``DYADLAB_OUT_DIR`` is set,
+relative ``--output`` paths are resolved inside that directory.
 
 Each handler imports the modules it uses, so ``phi``, ``qshape``,
 ``distances`` and argument errors run without importing numpy.
@@ -51,25 +55,24 @@ def _parse_state(text: str) -> model.DyadState:
     raise UsageError(f"invalid state {text!r}; expected one of {', '.join(model.STATE_LABELS)}")
 
 
-def _read_json(path: str, what: str):
-    """The JSON value in the file at ``path``; ``what`` names it in the UsageError."""
+def _read_json(path: str, what: str, parse):
+    """``parse`` applied to the JSON value in the file at ``path``; ``what``
+    names the input in the UsageError that any failure to read it becomes."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return parse(json.load(fh))
     except OSError as exc:
         raise UsageError(f"cannot read {what} {path!r}: {exc}")
-    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+    # malformed, non-UTF-8 or too deeply nested JSON, or a value ``parse`` refuses
+    except (ValueError, TypeError, IndexError, OverflowError, RecursionError) as exc:
         raise UsageError(f"invalid {what} in {path!r}: {exc}")
 
 
 def _parse_tpm(text: str) -> model.Tpm2:
     if text in model.NAMED_TPMS:
         return model.NAMED_TPMS[text]()
-    data = _read_json(text, "transition rule")
-    try:
-        return model.Tpm2.from_json(data, name=os.path.basename(text))
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"invalid transition rule in {text!r}: {exc}")
+    name = os.path.basename(text)
+    return _read_json(text, "transition rule", lambda data: model.Tpm2.from_json(data, name=name))
 
 
 def _parse_eigenvalues(text: str) -> np.ndarray:
@@ -82,22 +85,18 @@ def _parse_eigenvalues(text: str) -> np.ndarray:
         raise UsageError(f"invalid eigenvalues {text!r}: {exc}")
 
 
-def _resolve_output(path: str | None) -> str | None:
-    if path is None:
-        return None
-    out_dir = os.environ.get(ENV_OUT_DIR)
-    if out_dir and not os.path.isabs(path):
-        return os.path.join(out_dir, path)
-    return path
-
-
 def _emit(text: str, output: str | None) -> None:
-    path = _resolve_output(output)
-    if path is None:
+    """Write ``text`` to stdout, or to ``output``, which a set ``DYADLAB_OUT_DIR``
+    prefixes when it is relative."""
+    if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    path = os.path.join(os.environ.get(ENV_OUT_DIR) or "", output)
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output {path!r}: {exc}")
 
 
 def _json_text(payload) -> str:
@@ -119,13 +118,11 @@ def _csv_row(time: float, rho: np.ndarray) -> list:
     return [float(time), *pops, *(cohs[f"{i}{k}"] for i, k in model.COHERENCE_PAIRS)]
 
 
-def cmd_phi(args) -> int:
+def cmd_phi(args) -> str:
     tpm = _parse_tpm(args.tpm)
     state = _parse_state(args.state)
     report = phi.big_phi(tpm, state)
-    payload = {"tpm": tpm.to_json(), "state": state.to_json(), **report.to_json()}
-    _emit(_json_text(payload), args.output)
-    return 0
+    return _json_text({"tpm": tpm.to_json(), "state": state.to_json(), **report.to_json()})
 
 
 def _part_points(shape: qshape.QShape) -> dict:
@@ -133,7 +130,7 @@ def _part_points(shape: qshape.QShape) -> dict:
     return {unit: list(shape.part_point(unit)) for unit in model.UNITS}
 
 
-def cmd_qshape(args) -> int:
+def cmd_qshape(args) -> str:
     tpm = _parse_tpm(args.tpm)
     state = _parse_state(args.state)
     shape = qshape.build_qshape(tpm, state)
@@ -159,11 +156,10 @@ def cmd_qshape(args) -> int:
     payload["distances_to_other_states"] = distances
     if undefined:
         payload["undefined_pairs"] = undefined
-    _emit(_json_text(payload), args.output)
-    return 0
+    return _json_text(payload)
 
 
-def cmd_distances(args) -> int:
+def cmd_distances(args) -> str:
     tpm = _parse_tpm(args.tpm)
     try:
         table = qshape.distance_rows(tpm, metric=args.metric)
@@ -179,8 +175,7 @@ def cmd_distances(args) -> int:
         payload["points"] = {
             s.label: _part_points(qshape.build_qshape(tpm, s)) for s in model.ALL_STATES
         }
-    _emit(_json_text(payload), args.output)
-    return 0
+    return _json_text(payload)
 
 
 def _load_table(path: str | None) -> np.ndarray:
@@ -188,14 +183,10 @@ def _load_table(path: str | None) -> np.ndarray:
 
     if path is None:
         return optimizer.SWAP_TABLE
-    data = _read_json(path, "distance table")
-    try:
-        return optimizer.validate_table(data)
-    except ValueError as exc:
-        raise UsageError(f"invalid distance table in {path!r}: {exc}")
+    return _read_json(path, "distance table", optimizer.validate_table)
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> str:
     from . import optimizer
 
     table = _load_table(args.table)
@@ -210,8 +201,7 @@ def cmd_optimize(args) -> int:
             "optimal_sum": oracle.optimal_sum,
             "agrees": oracle.minimizers == result.minimizers,
         }
-    _emit(_json_text(payload), args.output)
-    return 0
+    return _json_text(payload)
 
 
 def _initial_pure_state(args) -> np.ndarray:
@@ -262,7 +252,7 @@ def _csv_sample_times(t: float, dt: float, samples: int) -> np.ndarray:
     return np.linspace(0.0, t, rows)
 
 
-def cmd_simulate_lindblad(args) -> int:
+def cmd_simulate_lindblad(args) -> str:
     import numpy as np
 
     from . import qdyn
@@ -277,26 +267,23 @@ def cmd_simulate_lindblad(args) -> int:
         sample_times = [args.t]
     times, states = qdyn.lindblad_path(rho0, None, a, args.lam, args.dt, sample_times)
     if args.format == "csv":
-        text = _csv_text(_csv_row(t, rho) for t, rho in zip(times, states))
-    else:
-        rho = states[-1]
-        text = _json_text(
-            {
-                "t": float(times[-1]),
-                "dt": args.dt,
-                "lambda": args.lam,
-                "eigenvalues": a.tolist(),
-                "populations": [float(rho[i, i].real) for i in range(4)],
-                "coherences": qdyn.coherence_magnitudes(rho),
-                "rho_real": rho.real.tolist(),
-                "rho_imag": rho.imag.tolist(),
-            }
-        )
-    _emit(text, args.output)
-    return 0
+        return _csv_text(_csv_row(t, rho) for t, rho in zip(times, states))
+    rho = states[-1]
+    return _json_text(
+        {
+            "t": float(times[-1]),
+            "dt": args.dt,
+            "lambda": args.lam,
+            "eigenvalues": a.tolist(),
+            "populations": [float(rho[i, i].real) for i in range(4)],
+            "coherences": qdyn.coherence_magnitudes(rho),
+            "rho_real": rho.real.tolist(),
+            "rho_imag": rho.imag.tolist(),
+        }
+    )
 
 
-def cmd_simulate_sde(args) -> int:
+def cmd_simulate_sde(args) -> str:
     import numpy as np
 
     from . import qdyn
@@ -323,12 +310,9 @@ def cmd_simulate_sde(args) -> int:
     )
     if csv:
         record = records[0]
-        rows = [
-            _csv_row(t, np.outer(psi, psi.conj()))
-            for t, psi in zip(record.times, record.states)
-        ]
-        _emit(_csv_text(rows), args.output)
-        return 0
+        return _csv_text(
+            _csv_row(t, np.outer(psi, psi.conj())) for t, psi in zip(record.times, record.states)
+        )
     t_end = records[0].times[-1]  # --t snapped to the step grid, as the engine ran
     counts = {label: 0 for label in model.STATE_LABELS}
     none_count = 0
@@ -354,20 +338,17 @@ def cmd_simulate_sde(args) -> int:
             "rho_real": rho.real.tolist(),
             "rho_imag": rho.imag.tolist(),
         }
-    _emit(_json_text(payload), args.output)
-    return 0
+    return _json_text(payload)
 
 
 def _parse_amplitudes(path: str) -> np.ndarray:
     import numpy as np
 
-    data = _read_json(path, "amplitudes")
-    try:
-        # a list must be an exact [re, im] pair; complex() refuses any other list
-        values = [complex(*v) if isinstance(v, list) and len(v) == 2 else complex(v) for v in data]
-        psi = np.array(values, dtype=complex)
-    except (TypeError, ValueError, IndexError):
-        raise UsageError(f"invalid amplitudes in {path!r}")
+    # a list must be an exact [re, im] pair; complex() refuses any other list
+    values = _read_json(path, "amplitudes", lambda data: [
+        complex(*v) if isinstance(v, list) and len(v) == 2 else complex(v) for v in data
+    ])
+    psi = np.array(values, dtype=complex)
     if psi.shape != (4,):
         raise UsageError("amplitudes must list exactly 4 entries")
     for i, v in enumerate(psi):
@@ -380,7 +361,7 @@ def _parse_amplitudes(path: str) -> np.ndarray:
     return psi / norm
 
 
-def cmd_qphi(args) -> int:
+def cmd_qphi(args) -> str:
     import numpy as np
 
     from . import qdyn, qiit
@@ -399,9 +380,7 @@ def cmd_qphi(args) -> int:
             psi[_parse_state(label).index] = 1.0
     rho = np.outer(psi, psi.conj())
     report = qiit.quantum_big_phi(rho)
-    payload = {"state": label, **report.to_json()}
-    _emit(_json_text(payload), args.output)
-    return 0
+    return _json_text({"state": label, **report.to_json()})
 
 
 def _add_common_sim_args(parser, dt_help: str) -> None:
@@ -490,7 +469,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args), args.output)
+        return 0
     except StepTooLarge as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3

@@ -180,7 +180,9 @@ def grid_oracle(table, granularity: float = 1.0, bound: float | None = None) -> 
     Scans {0, g, 2g, ..., bound}^4 with one coordinate pinned to zero (any
     minimizer has a zero eigenvalue, since subtracting the minimum preserves
     feasibility and lowers the sum).  Refuses lattices of more than
-    ``MAX_LATTICE_POINTS`` points before building them.
+    ``MAX_LATTICE_POINTS`` points before building them, and raises
+    :class:`InfeasibleTable` naming the lattice when none of its points is
+    feasible, which a coarse granularity or a tight bound can cause.
     """
     table = validate_table(table)
     if not (math.isfinite(granularity) and granularity > 0):
@@ -202,6 +204,11 @@ def grid_oracle(table, granularity: float = 1.0, bound: float | None = None) -> 
     free = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     # each pinned grid is built, filtered and dropped in turn, to keep the peak at one
     grids = (np.insert(free, pinned, 0.0, axis=1) for pinned in range(4))
-    kept = [grid[_feasible(grid, table)] for grid in grids]
+    kept = np.concatenate([grid[_feasible(grid, table)] for grid in grids])
+    if not len(kept):  # every table is feasible; this lattice is too coarse for it
+        raise InfeasibleTable(
+            f"no point of the lattice of granularity {granularity!r} on [0, {bound!r}] "
+            "satisfies the gap constraints; use a finer granularity or a larger bound"
+        )
     # distinct rows in sorted order: each 9-digit rounding keeps its largest point
-    return _collect(np.unique(np.concatenate(kept), axis=0))
+    return _collect(np.unique(kept, axis=0))

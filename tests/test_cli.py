@@ -357,13 +357,18 @@ def test_simulate_exit_code_contract(mode, t, dt, lam, threshold, samples, seed,
     oracle=st.booleans(),
     granularity=st.sampled_from(_LARGE_EXTREMES + ["1"]),
     bound=st.sampled_from(_LARGE_EXTREMES + [None]),
+    # a JSON value other than a number in place of the 01 entry
+    odd_entry=st.none() | st.sampled_from([{}, [], [2.0], "two", True]),
 )
-def test_optimize_exit_code_contract(off_diagonal, diagonal, oracle, granularity, bound):
+@example(off_diagonal=["2"] * 6, diagonal="0", oracle=False, granularity="1", bound=None, odd_entry={})
+def test_optimize_exit_code_contract(off_diagonal, diagonal, oracle, granularity, bound, odd_entry):
     # accepted oracle lattices stay small: entries are at most 2, so the bound is at most 6
     table = _uniform_table(0.0)
     for (i, j), v in zip([(i, j) for i in range(4) for j in range(i + 1, 4)], off_diagonal):
         table[i][j] = table[j][i] = float(v)
     table[0][0] = float(diagonal)
+    if odd_entry is not None:
+        table[0][1] = odd_entry
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.json")
         with open(path, "w") as fh:
@@ -771,3 +776,84 @@ def test_custom_tpm_file(tmp_path, capsys):
     path.write_text(json.dumps([0, 2, 1, 3]))
     data = _run_json(capsys, ["phi", "--tpm", str(path), "--state", "01"])
     assert data["big_phi"] == 2.0
+
+
+# Each JSON input file option, with a command that reads it.
+_FILE_INPUTS = {
+    "distance table": ["optimize", "--table"],
+    "transition rule": ["phi", "--state", "10", "--tpm"],
+    "amplitudes": ["qphi", "--amplitudes"],
+}
+# JSON texts that are none of the three inputs; None marks `distances --output`'s file.
+_MALFORMED_JSON = {
+    "distances_output": None,
+    "object_entry": "[[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, {}]]",
+    "string": '"abc"',
+    "null": "null",
+    "three_rows": "[[0, 1, 1], [1, 0, 1], [1, 1, 0]]",
+    "deep_nesting": "[" * 100_000 + "]" * 100_000,
+    "huge_integer": "[" + "9" * 400 + ", 0, 0, 0]",
+}
+
+
+def _assert_one_error_line(code, out, err):
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("shape", _MALFORMED_JSON)
+@pytest.mark.parametrize("what", _FILE_INPUTS)
+def test_malformed_json_input_exits_2_with_its_reason(what, shape, tmp_path):
+    path = str(tmp_path / "input.json")
+    if _MALFORMED_JSON[shape] is None:
+        assert _main_in_process(["distances", "--output", path])[0] == 0
+    else:
+        Path(path).write_text(_MALFORMED_JSON[shape])
+    code, out, err = _main_in_process(_FILE_INPUTS[what] + [path])
+    _assert_one_error_line(code, out, err)
+    assert err.startswith(f"error: invalid {what} in {path!r}: "), err
+
+
+# One quick run of every subcommand.
+_EVERY_SUBCOMMAND = [
+    ["phi", "--state", "10"],
+    ["qshape", "--state", "10"],
+    ["distances"],
+    ["optimize"],
+    ["simulate", "lindblad", "--t", "0.01"],
+    ["simulate", "sde", "--t", "0.01"],
+    ["qphi", "--state", "plus0"],
+]
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "a_directory", "missing_out_dir"])
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=" ".join)
+def test_unwritable_output_exits_2(argv, where, tmp_path, monkeypatch):
+    missing = tmp_path / "missing"
+    if where == "missing_directory":
+        output = str(missing / "out.json")
+    elif where == "a_directory":
+        output = str(tmp_path)
+    else:
+        monkeypatch.setenv(cli.ENV_OUT_DIR, str(missing))
+        output = "out.json"
+    code, out, err = _main_in_process(argv + ["--output", output])
+    _assert_one_error_line(code, out, err)
+    assert err.startswith("error: cannot write output "), err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=" ".join)
+def test_output_file_holds_the_stdout_bytes(argv, tmp_path):
+    code, out, err = _main_in_process(argv)
+    assert (code, err) == (0, "")
+    path = tmp_path / "out.txt"
+    assert _main_in_process(argv + ["--output", str(path)]) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+
+
+def test_coarse_oracle_lattice_is_blamed_on_stderr():
+    code, out, err = _main_in_process(["optimize", "--oracle", "--granularity", "5"])
+    _assert_one_error_line(code, out, err)
+    assert "granularity 5.0 on [0, 12.0]" in err and "finer granularity" in err, err

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab import optimizer
+from dyadlab.errors import InfeasibleTable
 from dyadlab.optimizer import EigenAssignment, SWAP_TABLE
 
 ATOL = 1e-9
@@ -184,6 +185,20 @@ def test_grid_oracle_bound_validation():
         optimizer.grid_oracle(SWAP_TABLE, granularity=1.0, bound=6.0)
     with pytest.raises(ValueError, match="granularity"):
         optimizer.grid_oracle(SWAP_TABLE, granularity=0.0)
+
+
+def test_grid_oracle_names_its_lattice_when_no_point_is_feasible():
+    # the reference table is feasible (solve finds twelve minimizers), but the
+    # lattices {0, 5, 10} and {0} on its default bound 12 hold no feasible point
+    assert len(optimizer.solve(SWAP_TABLE).minimizers) == 12
+    for granularity in (5.0, 1e308):
+        with pytest.raises(InfeasibleTable) as exc:
+            optimizer.grid_oracle(SWAP_TABLE, granularity=granularity)
+        message = str(exc.value)
+        assert f"lattice of granularity {granularity!r} on [0, 12.0]" in message
+        assert message.endswith("use a finer granularity or a larger bound")
+    # a larger bound makes the same granularity feasible
+    assert optimizer.grid_oracle(SWAP_TABLE, granularity=5.0, bound=30.0).minimizers
 
 
 def test_grid_oracle_refuses_huge_lattice_before_allocating(monkeypatch):

@@ -267,9 +267,9 @@ def _finite_and_normalised(records):
 
 def test_sde_split_step_takes_steps_with_large_collapse_exponents():
     # (lam/2) dt gap^2 passes 1 at gap sqrt(2000) ~ 44.72 for lam = 1, dt = 1e-3,
-    # where an Euler-Maruyama drift factor turns negative; the split step's
-    # collapse factor is an exponential, positive for any step, with a zero
-    # Hamiltonian as without one
+    # where a first-order drift factor 1 - (lam/2) dt gap^2 would turn negative;
+    # the split step's collapse factor is an exponential, positive for any step,
+    # with a zero Hamiltonian as without one
     psi = qdyn.basis_superposition(0, 1)
     zero_h = np.zeros((4, 4))
     for a in ((0.0, 44.7, 0.0, 0.0), (0.0, 44.73, 0.0, 0.0), (0.0, 200.0, 0.0, 0.0)):
@@ -769,10 +769,10 @@ def test_split_step_ensemble_converges_weakly_to_lindblad(state, dt):
         assert np.all(np.abs(mean - part(exact)) <= 5.0 * se + c * dt + 1e-12)
 
 
-def test_euler_with_zero_hamiltonian_agrees_with_exact_sampling():
-    # a zero matrix runs split steps, which are weak order 1 as Euler-Maruyama
-    # is: allow a bias of lam (max gap)^2 dt t on each entry of the mean
-    # projector, plus 5 standard errors of the difference of two independent means
+def test_split_step_with_zero_hamiltonian_agrees_with_exact_sampling():
+    # a zero matrix runs split steps, which are weak order 1: allow a bias of
+    # lam (max gap)^2 dt t on each entry of the mean projector, plus 5 standard
+    # errors of the difference of two independent means
     psi = _oracle_states()["uniform"]
     lam, dt, t, n = 1.0, 1e-4, 0.3, 2000
     bias = lam * (max(A_REF) - min(A_REF)) ** 2 * dt * t
@@ -782,9 +782,9 @@ def test_euler_with_zero_hamiltonian_agrees_with_exact_sampling():
         finals = np.stack([r.final_state for r in records])
         runs.append(np.einsum("ni,nj->nij", finals, finals.conj()))
     for part in (np.real, np.imag):
-        (exact, exact_se), (euler, euler_se) = (_mean_and_se(part(p)) for p in runs)
-        band = 5.0 * np.sqrt(exact_se**2 + euler_se**2) + bias + 1e-12
-        assert np.all(np.abs(exact - euler) <= band)
+        (exact, exact_se), (split, split_se) = (_mean_and_se(part(p)) for p in runs)
+        band = 5.0 * np.sqrt(exact_se**2 + split_se**2) + bias + 1e-12
+        assert np.all(np.abs(exact - split) <= band)
 
 
 def test_sde_refuses_too_many_steps_before_deriving_seeds(monkeypatch):
