@@ -16,7 +16,8 @@ to ``--output``.  If the environment variable ``DYADLAB_OUT_DIR`` is set,
 relative ``--output`` paths are resolved inside that directory.
 
 Each handler imports the modules it uses, so ``phi``, ``qshape``,
-``distances`` and argument errors run without importing numpy.
+``distances`` and argument errors run without importing numpy, and only
+``optimize`` imports the optimizer.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ if TYPE_CHECKING:  # numpy is imported by the handlers that run linear algebra
 ENV_OUT_DIR = "DYADLAB_OUT_DIR"
 # Largest CSV time series: 10^5 Lindblad rows already take about 150 MB and 7 s.
 MAX_CSV_ROWS = 10**5
+# Most members of one `simulate sde` run: the run holds a record of about
+# 0.4 KB per trajectory until it prints, so 10^6 take about 0.4 GB.
+MAX_TRAJECTORIES = 10**6
 
 CSV_COLUMNS = (
     "time",
@@ -66,6 +70,11 @@ def _read_json(path: str, what: str, parse):
     # malformed, non-UTF-8 or too deeply nested JSON, or a value ``parse`` refuses
     except (ValueError, TypeError, IndexError, OverflowError, RecursionError) as exc:
         raise UsageError(f"invalid {what} in {path!r}: {exc}")
+
+
+def _is_number(value) -> bool:
+    """True for a JSON number; ``bool`` subclasses ``int`` but is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _parse_tpm(text: str) -> model.Tpm2:
@@ -178,12 +187,24 @@ def cmd_distances(args) -> str:
     return _json_text(payload)
 
 
+def _parse_table(data) -> np.ndarray:
+    from . import optimizer
+
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+        raise ValueError("distance table must be a JSON list of rows")
+    for i, row in enumerate(data):
+        for j, v in enumerate(row):
+            if not _is_number(v):
+                raise ValueError(f"entry ({i}, {j}) is not a number: {v!r}")
+    return optimizer.validate_table(data)
+
+
 def _load_table(path: str | None) -> np.ndarray:
     from . import optimizer
 
     if path is None:
         return optimizer.SWAP_TABLE
-    return _read_json(path, "distance table", optimizer.validate_table)
+    return _read_json(path, "distance table", _parse_table)
 
 
 def cmd_optimize(args) -> str:
@@ -219,19 +240,11 @@ def _initial_pure_state(args) -> np.ndarray:
     return qdyn.prepare_dyad_superposition()  # plus0, also when --initial is absent
 
 
-def _default_eigenvalues() -> np.ndarray:
-    from . import optimizer, qdyn
-
-    pick = optimizer.solve(optimizer.SWAP_TABLE).default_pick
-    return qdyn.build_collapse_operator(pick)
-
-
 def _simulation_inputs(args) -> tuple[np.ndarray, np.ndarray]:
     """Collapse eigenvalues and initial pure state shared by both simulate modes."""
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
-    a = _parse_eigenvalues(args.eigenvalues) if args.eigenvalues else _default_eigenvalues()
-    return a, _initial_pure_state(args)
+    return _parse_eigenvalues(args.eigenvalues), _initial_pure_state(args)
 
 
 def _csv_sample_times(t: float, dt: float, samples: int) -> np.ndarray:
@@ -289,10 +302,12 @@ def cmd_simulate_sde(args) -> str:
     from . import qdyn
 
     a, psi0 = _simulation_inputs(args)
-    if args.trajectories <= 0:
-        raise UsageError("--trajectories must be positive")
-    if args.t <= 0:
-        raise UsageError("--t must be positive")
+    if not 0 < args.trajectories <= MAX_TRAJECTORIES:
+        raise UsageError(f"--trajectories must lie in [1, {MAX_TRAJECTORIES}]")
+    if qdyn.step_count(args.t, args.dt) == 0:
+        raise UsageError(
+            f"--t {args.t!r} rounds to zero steps of --dt {args.dt!r}; a run takes at least one"
+        )
     csv = args.format == "csv"
     if csv and args.trajectories != 1:
         raise UsageError("--format csv needs --trajectories 1")
@@ -320,7 +335,7 @@ def cmd_simulate_sde(args) -> str:
         if rec.outcome is None:
             none_count += 1
         else:
-            counts[model.DyadState.from_index(rec.outcome).label] += 1
+            counts[model.STATE_LABELS[rec.outcome]] += 1
     payload = {
         "trajectories": args.trajectories,
         "seed": args.seed,
@@ -341,13 +356,23 @@ def cmd_simulate_sde(args) -> str:
     return _json_text(payload)
 
 
+def _amplitude_values(data) -> list[complex]:
+    """The entries of an --amplitudes file: JSON numbers or [re, im] pairs of them."""
+    if not isinstance(data, list):
+        raise ValueError("amplitudes must be a JSON list")
+    values = []
+    for i, v in enumerate(data):
+        parts = v if isinstance(v, list) and len(v) == 2 else [v]
+        if not all(_is_number(p) for p in parts):
+            raise ValueError(f"amplitude {i} is not a number or an [re, im] pair of numbers: {v!r}")
+        values.append(complex(*parts))
+    return values
+
+
 def _parse_amplitudes(path: str) -> np.ndarray:
     import numpy as np
 
-    # a list must be an exact [re, im] pair; complex() refuses any other list
-    values = _read_json(path, "amplitudes", lambda data: [
-        complex(*v) if isinstance(v, list) and len(v) == 2 else complex(v) for v in data
-    ])
+    values = _read_json(path, "amplitudes", _amplitude_values)
     psi = np.array(values, dtype=complex)
     if psi.shape != (4,):
         raise UsageError("amplitudes must list exactly 4 entries")
@@ -384,7 +409,9 @@ def cmd_qphi(args) -> str:
 
 
 def _add_common_sim_args(parser, dt_help: str) -> None:
-    parser.add_argument("--eigenvalues", help="four comma-separated collapse eigenvalues")
+    # the first minimizer of optimizer.SWAP_TABLE in lexicographic order
+    parser.add_argument("--eigenvalues", default="0,2,6,4",
+                        help="four comma-separated collapse eigenvalues")
     parser.add_argument("--lambda", dest="lam", type=float, default=1.0, help="global collapse rate")
     parser.add_argument("--dt", type=float, default=1e-3, help=dt_help)
     parser.add_argument("--t", type=float, default=1.0, help="total evolution time")

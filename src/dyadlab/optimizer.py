@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +50,7 @@ SWAP_TABLE = np.array(
 )
 
 
-@dataclass(frozen=True)
-class EigenAssignment:
+class EigenAssignment(NamedTuple):
     """Four collapse-operator eigenvalues in canonical state order."""
 
     lambda_00: float
@@ -59,10 +59,7 @@ class EigenAssignment:
     lambda_11: float
 
     def as_tuple(self) -> tuple:
-        return (self.lambda_00, self.lambda_01, self.lambda_10, self.lambda_11)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple())
+        return tuple(self)
 
     @classmethod
     def from_values(cls, values) -> "EigenAssignment":
@@ -116,7 +113,7 @@ def feasible(assignment: EigenAssignment, table) -> bool:
     """True iff all eigenvalues are finite and non-negative and every gap is
     satisfied, the last two within ``TOLERANCE``; a NaN or infinite
     eigenvalue is never feasible."""
-    return bool(_feasible(assignment.as_array()[None, :], validate_table(table))[0])
+    return bool(_feasible(np.array([assignment], dtype=float), validate_table(table))[0])
 
 
 def _feasible(points: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -78,7 +78,6 @@ import numpy as np
 from .errors import GridMismatch, StepTooLarge
 from .model import COHERENCE_PAIRS, Tpm2
 from .model import swap as _swap_rule
-from .optimizer import EigenAssignment
 
 DIM = 4
 # Trajectories integrated together, and steps of noise drawn per trajectory at
@@ -133,11 +132,9 @@ def validate_density_matrix(rho, dim: int = DIM) -> np.ndarray:
 
 
 def build_collapse_operator(assignment) -> np.ndarray:
-    """Diagonal of the collapse operator, in canonical state order."""
-    if isinstance(assignment, EigenAssignment):
-        values = assignment.as_array()
-    else:
-        values = np.asarray(assignment, dtype=float)
+    """Diagonal of the collapse operator, in canonical state order, from any
+    four numbers (an ``optimizer.EigenAssignment`` among them)."""
+    values = np.asarray(assignment, dtype=float)
     if values.shape != (DIM,):
         raise ValueError("a collapse operator needs exactly 4 eigenvalues")
     if not np.all(np.isfinite(values)):

@@ -387,7 +387,7 @@ _AMPLITUDE_VALUES = st.sampled_from(_LARGE_EXTREMES + ["0.5", "1"])
 @given(
     st.lists(
         st.one_of(
-            _AMPLITUDE_VALUES,  # a JSON string, parsed by complex()
+            _AMPLITUDE_VALUES,  # a JSON string, which is not a number
             _AMPLITUDE_VALUES.map(float),
             st.tuples(_AMPLITUDE_VALUES.map(float), _AMPLITUDE_VALUES.map(float)).map(list),
         ),
@@ -506,16 +506,55 @@ def test_simulate_sde_ensemble_average_at_off_grid_t(capsys):
     )
     _validate("simulate_sde", data)
     records = qdyn.simulate_ensemble(
-        qdyn.prepare_dyad_superposition(), None, cli._default_eigenvalues(), 1.0, 1e-3,
+        qdyn.prepare_dyad_superposition(), None, _default_eigenvalues("sde"), 1.0, 1e-3,
         0.0105, n_trajectories=3, seed=0, sample_times=[0.0105],
     )
     rho = qdyn.ensemble_average(records, at=records[0].times[-1])
     assert data["ensemble_average"] == {"rho_real": rho.real.tolist(), "rho_imag": rho.imag.tolist()}
     assert data["t"] == records[0].times[-1] == 0.01
-    # a --t below half a step integrates no step, as simulate lindblad reports
-    data = _run_json(capsys, ["simulate", "sde", "--t", "0.0004", "--dt", "1e-3"])
-    _validate("simulate_sde", data)
-    assert data["t"] == 0.0
+    # a --t below half a step would integrate no step, so it is refused
+    code, out, err = _main_in_process(["simulate", "sde", "--t", "0.0004", "--dt", "1e-3"])
+    _assert_one_error_line(code, out, err)
+    assert "--t 0.0004 rounds to zero steps of --dt 0.001" in err, err
+
+
+def _default_eigenvalues(mode):
+    """The collapse eigenvalues a `simulate` run uses without --eigenvalues."""
+    args = cli.build_parser().parse_args(["simulate", mode])
+    return cli._parse_eigenvalues(args.eigenvalues)
+
+
+@pytest.mark.parametrize("mode", ["lindblad", "sde"])
+def test_default_eigenvalues_are_the_reference_tables_default_pick(mode):
+    pick = optimizer.solve(optimizer.SWAP_TABLE).default_pick
+    assert _default_eigenvalues(mode).tolist() == list(pick)
+    # the default applies only when the flag is absent
+    code, out, err = _main_in_process(["simulate", mode, "--eigenvalues="])
+    _assert_one_error_line(code, out, err)
+    assert err.startswith("error: invalid eigenvalues ''"), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--t", "0"], ["--t", "0.0005"], ["--t", "1e-4", "--dt", "1e-3"], ["--t", "2e-5", "--dt", "1e-4"]],
+)
+def test_simulate_sde_refuses_a_run_of_zero_steps(argv):
+    code, out, err = _main_in_process(["simulate", "sde", *argv])
+    _assert_one_error_line(code, out, err)
+    assert "rounds to zero steps of --dt" in err, err
+    # a Lindblad run of zero steps reports its initial state
+    assert _main_in_process(["simulate", "lindblad", *argv])[0] == 0
+
+
+@pytest.mark.parametrize("count", [cli.MAX_TRAJECTORIES + 1, 2**64 + 1])
+def test_simulate_sde_refuses_trajectories_past_the_cap_before_running(count, monkeypatch):
+    def run_nothing(*args, **kwargs):
+        raise AssertionError("a trajectory ran")
+
+    monkeypatch.setattr(qdyn, "simulate_ensemble", run_nothing)
+    code, out, err = _main_in_process(["simulate", "sde", "--trajectories", str(count)])
+    _assert_one_error_line(code, out, err)
+    assert f"--trajectories must lie in [1, {cli.MAX_TRAJECTORIES}]" in err, err
 
 
 def test_simulate_sde_largest_seed(capsys):
@@ -573,7 +612,7 @@ def test_qphi_rejects_unnormalized_amplitudes(tmp_path, capsys):
 
 def test_qphi_rejects_non_finite_amplitudes_by_name(tmp_path):
     path = tmp_path / "nan.json"
-    path.write_text(json.dumps([1, "nan", 0, 0]))
+    path.write_text(json.dumps([1, math.nan, 0, 0]))  # the JSON token NaN
     code, _, err = _main_in_process(["qphi", "--amplitudes", str(path)])
     assert code == 2
     assert err.startswith("error: amplitude 1 is not finite") and err.count("\n") == 1, err
@@ -727,6 +766,22 @@ def test_optimize_loads_neither_qdyn_nor_qiit():
     assert proc.stderr.strip() == "[]"
 
 
+def test_simulate_and_qphi_never_load_the_optimizer(tmp_path):
+    amplitudes = tmp_path / "amps.json"
+    amplitudes.write_text(json.dumps([[0.6, 0], 0, [0.8, 0], 0]))
+    proc = _dyadlab_process(
+        "import sys; from dyadlab.cli import main\n"
+        "for mode in ('lindblad', 'sde'):\n"
+        "    assert main(['simulate', mode, '--t', '0.01']) == 0\n"
+        "    assert main(['simulate', mode, '--t', '0.01', '--eigenvalues', '1,2,3,4']) == 0\n"
+        "assert main(['qphi', '--state', 'plus0']) == 0\n"
+        f"assert main(['qphi', '--amplitudes', {str(amplitudes)!r}]) == 0\n"
+        "print('dyadlab.optimizer' in sys.modules, file=sys.stderr)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"
+
+
 def test_help_exits_zero():
     for argv in (
         ["--help"],
@@ -793,6 +848,13 @@ _MALFORMED_JSON = {
     "three_rows": "[[0, 1, 1], [1, 0, 1], [1, 1, 0]]",
     "deep_nesting": "[" * 100_000 + "]" * 100_000,
     "huge_integer": "[" + "9" * 400 + ", 0, 0, 0]",
+    # JSON numbers only: not a string that spells one, and not a bool
+    "number_string": '"1000"',
+    "string_entry": '["1", 0, 0, 0]',
+    "bool_entry": "[true, 0, 0, 0]",
+    "bool_after_pair": "[[1, 0], 0, 0, false]",
+    "string_table_entries": '[[0, "2", 2, 2], ["2", 0, 4, 2], [2, 4, 0, 2], [2, 2, 2, 0]]',
+    "bool_table_entries": "[[0, true, 2, 2], [true, 0, 4, 2], [2, 4, 0, 2], [2, 2, 2, 0]]",
 }
 
 

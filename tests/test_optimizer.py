@@ -1,6 +1,7 @@
 """Eigenvalue optimization: frozen reference results and lattice cross-checks."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -112,6 +113,15 @@ def test_minimizers_sorted_lexicographically_and_default_pick():
     tuples = _tuples(result)
     assert tuples == sorted(tuples)
     assert result.default_pick.as_tuple() == (0.0, 2.0, 6.0, 4.0)
+
+
+def test_eigen_assignment_is_the_tuple_of_its_values():
+    m = EigenAssignment.from_values([0, 2, 6, 4])
+    assert m == (0.0, 2.0, 6.0, 4.0) == m.as_tuple()
+    assert (m[2], m.lambda_10) == (6.0, 6.0)
+    assert json.dumps(m) == json.dumps(m.to_json()) == "[0.0, 2.0, 6.0, 4.0]"
+    with pytest.raises(ValueError):
+        EigenAssignment.from_values([0, 2, 6])
 
 
 def test_all_minimizers_feasible_and_zero_anchored():

@@ -34,6 +34,14 @@ def test_build_collapse_operator():
         qdyn.build_collapse_operator((-1.0, 0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "values", [optimizer.EigenAssignment(6.0, 4.0, 0.0, 2.0), (6, 4, 0, 2), [6.0, 4.0, 0.0, 2.0]]
+)
+def test_build_collapse_operator_takes_any_four_numbers(values):
+    a = qdyn.build_collapse_operator(values)
+    assert a.dtype == float and a.tolist() == [6.0, 4.0, 0.0, 2.0]
+
+
 def test_coherence_decay_rate_frozen_values():
     a = qdyn.build_collapse_operator(A_REF)
     assert qdyn.coherence_decay_rate(a, 1.0, 1, 2) == pytest.approx(8.0)
