@@ -17,14 +17,11 @@ __version__ = "0.1.0"
 # Public names by the submodule that defines them.
 _EXPORTS = {
     "errors": (
-        "DependencyMismatch",
         "DyadError",
         "GridMismatch",
         "InfeasibleTable",
-        "InfiniteDivergence",
         "KLUndefined",
         "NotCrossCoupled",
-        "NotUnitary",
         "StepTooLarge",
         "UnsupportedState",
         "ZeroMarginal",
@@ -39,7 +36,7 @@ _EXPORTS = {
         "pairwise_rate_sum",
         "solve",
     ),
-    "phi": ("PhiReport", "big_phi", "noised_effect_prob", "phi_cause", "phi_effect", "phi_unit"),
+    "phi": ("PhiReport", "big_phi"),
     "qdyn": (
         "TrajectoryRecord",
         "build_collapse_operator",
@@ -53,16 +50,7 @@ _EXPORTS = {
         "simulate_ensemble",
         "trace_distance",
     ),
-    "qiit": (
-        "QuantumPhiReport",
-        "qid",
-        "quantum_big_phi",
-        "quantum_phi_unit",
-        "quantum_relative_entropy",
-        "spectral_ensemble",
-        "swap_unitary",
-        "unitary_step",
-    ),
+    "qiit": ("QuantumPhiReport", "quantum_big_phi"),
     "qshape": (
         "QShape",
         "QShape4Style",

@@ -10,10 +10,6 @@ class DyadError(Exception):
     """Base class for all toolkit-specific errors."""
 
 
-class DependencyMismatch(DyadError):
-    """The named target unit does not read the named source unit."""
-
-
 class NotCrossCoupled(DyadError):
     """The transition rule lacks the cross-unit link the quantity needs."""
 
@@ -36,14 +32,6 @@ class StepTooLarge(DyadError):
 
 class GridMismatch(DyadError):
     """Trajectories do not share a common sample grid and parameters."""
-
-
-class NotUnitary(DyadError):
-    """The supplied matrix is not unitary within tolerance."""
-
-
-class InfiniteDivergence(DyadError):
-    """The first state's support is not contained in the second's."""
 
 
 class UnsupportedState(DyadError):

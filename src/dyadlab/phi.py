@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DependencyMismatch, NotCrossCoupled, ZeroMarginal
+from .errors import NotCrossCoupled, ZeroMarginal
 from .model import ALL_STATES, UNITS, DyadState, Tpm2, other_unit
 
 
@@ -23,25 +23,6 @@ def _information(p: float, p_noise: float) -> float:
     if p == 0.0:
         return 0.0
     return p * math.log2(p / p_noise)
-
-
-def noised_effect_prob(
-    tpm: Tpm2, source_unit: str, source_state: int, target_unit: str, target_state: int
-) -> float:
-    """Probability of ``target_state`` one step ahead with the source noised.
-
-    The source unit is replaced by an equiprobable bit, so the result does not
-    depend on ``source_state``; the argument is kept (and validated) because
-    the quantity is conditioned on it notationally.
-    """
-    if source_state not in (0, 1) or target_state not in (0, 1):
-        raise ValueError("unit states must be 0 or 1")
-    if tpm.dependency(target_unit) != source_unit:
-        raise DependencyMismatch(
-            f"target unit {target_unit} reads {tpm.dependency(target_unit)!r}, "
-            f"not {source_unit}"
-        )
-    return _transition_prob(tpm, target_unit, target_state)
 
 
 def _transition_prob(tpm: Tpm2, target: str, target_state: int, given=None) -> float:
@@ -87,21 +68,6 @@ def _cause_detail(tpm: Tpm2, unit: str, state: DyadState) -> tuple[float, int]:
     w_star = max((0, 1), key=lambda w: posterior[w])
     value = posterior[w_star] * math.log2(likelihood[w_star] / noised)
     return value, w_star
-
-
-def phi_effect(tpm: Tpm2, unit: str, state: DyadState) -> float:
-    """Integrated effect information of ``unit`` in ``state``, in bits."""
-    return _effect_detail(tpm, unit, state)[0]
-
-
-def phi_cause(tpm: Tpm2, unit: str, state: DyadState) -> float:
-    """Integrated cause information of ``unit`` in ``state``, in bits."""
-    return _cause_detail(tpm, unit, state)[0]
-
-
-def phi_unit(tpm: Tpm2, unit: str, state: DyadState) -> float:
-    """min(cause, effect) integrated information of ``unit``."""
-    return min(phi_cause(tpm, unit, state), phi_effect(tpm, unit, state))
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,12 @@ Two complementary pictures of the same process:
   fixed-step classical Runge-Kutta (RK4).  The equation is linear, so one
   RK4 step is a fixed 16x16 matrix, built once per run and raised to the
   number of steps between samples.  A step outside RK4's stability region
-  is refused before integrating, with :class:`StepTooLarge`; one that
-  passed that check by round-off is refused when its power overflows.  The
-  samples are integrated into one array, ``_GUARD_BLOCK`` at a time, and
-  each block is checked in one pass for drift of trace, Hermiticity and
-  positivity; the first drifted sample raises :class:`StepTooLarge`.
+  is refused before integrating, with :class:`StepTooLarge`, unless the run
+  takes no step at all; one that passed that check by round-off is refused
+  when its power overflows.  The samples are integrated into one array,
+  ``_GUARD_BLOCK`` at a time, and each block is checked in one pass for
+  drift of trace, Hermiticity and positivity; the first drifted sample
+  raises :class:`StepTooLarge`.
 
 * Trajectory picture.  A pure state follows the stochastic equation
   ``d(psi) = [-iH dt + sqrt(lam) (A - <A>) dW - (lam/2) (A - <A>)^2 dt] psi``
@@ -76,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, StepTooLarge
-from .model import COHERENCE_PAIRS, Tpm2
+from .model import COHERENCE_PAIRS
 from .model import swap as _swap_rule
 
 DIM = 4
@@ -166,19 +167,10 @@ def basis_superposition(i: int, k: int) -> np.ndarray:
     return psi
 
 
-def permutation_unitary(tpm: Tpm2) -> np.ndarray:
-    """Unitary ``|s> -> |tpm(s)>`` of a bijective rule on the computational basis."""
-    if not tpm.is_bijective:
-        raise ValueError("only bijective rules define a permutation unitary")
-    u = np.zeros((DIM, DIM), dtype=complex)
-    for idx in range(DIM):
-        u[tpm.outputs[idx], idx] = 1.0
-    return u
-
-
 def swap_hamiltonian() -> np.ndarray:
     """Hermitian generator whose unit-time evolution is exactly the swap gate."""
-    return 0.5 * math.pi * (np.eye(DIM) - permutation_unitary(_swap_rule()).real)
+    # column s of the permutation matrix is the basis vector of swap(s)
+    return 0.5 * math.pi * (np.eye(DIM) - np.eye(DIM)[:, list(_swap_rule().outputs)])
 
 
 def state_populations(psi) -> np.ndarray:
@@ -343,7 +335,8 @@ def lindblad_path(rho0, h, a, lam: float, dt: float, sample_times) -> tuple[np.n
 
     RK4 is applied as one precomputed 16x16 step matrix, raised to the number
     of steps between consecutive samples (one power per distinct gap).
-    Sample times snap to the nearest step of the fixed grid.  Raises
+    Sample times snap to the nearest step of the fixed grid; when every one
+    snaps to step 0, no step is taken and each sample is ``rho0``.  Raises
     ``StepTooLarge`` before integrating when the step lies outside RK4's
     stability region (|dt lambda| <= ~2.785 on the negative real axis), when
     its power for a gap between samples overflows, and when trace,
@@ -359,7 +352,8 @@ def lindblad_path(rho0, h, a, lam: float, dt: float, sample_times) -> tuple[np.n
         h = np.zeros((DIM, DIM), dtype=complex)
     # an empty sample_times is refused by _time_grid
     _, steps, times = _time_grid(max(sample_times, default=0.0), dt, sample_times)
-    inc = _rk4_step_increment(h, a if lam else np.zeros(DIM), lam, dt)
+    if steps[-1]:  # a run of zero steps has no step to refuse
+        inc = _rk4_step_increment(h, a if lam else np.zeros(DIM), lam, dt)
     powers = {}
     vec = rho.reshape(DIM * DIM)
     states = np.empty((len(steps), DIM * DIM), dtype=complex)

@@ -196,6 +196,19 @@ def test_simulate_lindblad_unstable_step_exits_3(capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_simulate_lindblad_of_zero_steps_prints_the_initial_state(capsys):
+    # --t 1 rounds to zero steps of --dt 3, so no RK4 step is refused
+    data = _run_json(capsys, ["simulate", "lindblad", "--t", "1", "--dt", "3"])
+    _validate("simulate_lindblad", data)
+    assert data["t"] == 0.0
+    psi0 = qdyn.prepare_dyad_superposition()
+    rho0 = np.outer(psi0, psi0.conj())
+    assert (data["rho_real"], data["rho_imag"]) == (rho0.real.tolist(), rho0.imag.tolist())
+    code, out, err = _main_in_process(["simulate", "lindblad", "--t", "1", "--dt", "0.5"])
+    assert (code, out) == (3, "")
+    assert "spectral radius" in err, err
+
+
 def test_simulate_lindblad_outside_stability_region_exits_3(capsys):
     # RK4's stability region for lindblad; sde samples its trajectories
     # exactly, so no step is too large for it
@@ -581,6 +594,32 @@ def test_qphi_subcommand(capsys):
         pytest.approx(1.0, abs=1e-12),
         0.0,
     )
+
+
+# The README qphi commands and their exact stdout: the closed form gives
+# phi = 0.9999999999999998 for a marginal of Bloch length 0.9999999999999998
+README_QPHI = [
+    (
+        ["--state", "plus0"],
+        '{\n  "state": "plus0",\n  "phi_A": 0.9999999999999998,\n  "phi_B": 0.9999999999999998,'
+        '\n  "phi_AB": 0.0,\n  "big_phi": 1.9999999999999996\n}\n',
+    ),
+    (
+        ["--amplitudes", "amps.json"],
+        '{\n  "state": "custom",\n  "phi_A": 1.0,\n  "phi_B": 1.0,\n  "phi_AB": 0.0,'
+        '\n  "big_phi": 2.0\n}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", README_QPHI, ids=["state", "amplitudes"])
+def test_readme_qphi_commands_print_frozen_bytes(argv, stdout, tmp_path, monkeypatch):
+    # the amplitudes file of the CI workflow
+    (tmp_path / "amps.json").write_text("[[0.7071067811865476, 0], 0, [0.7071067811865476, 0], 0]\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _main_in_process(["qphi", *argv])
+    assert (code, out, err) == (0, stdout, "")
+    _validate("qphi", json.loads(out))
 
 
 def test_qphi_classical_state(capsys):

@@ -13,29 +13,24 @@ import dyadlab
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The public names by defining submodule, as the package exported them when it
-# imported every submodule eagerly.
+# The public names by defining submodule.
 PUBLIC_NAMES = {
     "errors": [
-        "DependencyMismatch", "DyadError", "GridMismatch", "InfeasibleTable", "InfiniteDivergence",
-        "KLUndefined", "NotCrossCoupled", "NotUnitary", "StepTooLarge", "UnsupportedState",
-        "ZeroMarginal",
+        "DyadError", "GridMismatch", "InfeasibleTable", "KLUndefined", "NotCrossCoupled",
+        "StepTooLarge", "UnsupportedState", "ZeroMarginal",
     ],
     "model": ["ALL_STATES", "DyadState", "Tpm2", "identity_tpm", "not_swap", "swap"],
     "optimizer": [
         "SWAP_TABLE", "EigenAssignment", "OptimizationResult", "feasible", "grid_oracle",
         "pairwise_rate_sum", "solve",
     ],
-    "phi": ["PhiReport", "big_phi", "noised_effect_prob", "phi_cause", "phi_effect", "phi_unit"],
+    "phi": ["PhiReport", "big_phi"],
     "qdyn": [
         "TrajectoryRecord", "build_collapse_operator", "coherence_decay_rate",
         "derive_trajectory_seed", "ensemble_average", "lindblad_evolve", "lindblad_path",
         "prepare_dyad_superposition", "sde_trajectory", "simulate_ensemble", "trace_distance",
     ],
-    "qiit": [
-        "QuantumPhiReport", "qid", "quantum_big_phi", "quantum_phi_unit",
-        "quantum_relative_entropy", "spectral_ensemble", "swap_unitary", "unitary_step",
-    ],
+    "qiit": ["QuantumPhiReport", "quantum_big_phi"],
     "qshape": [
         "QShape", "QShape4Style", "build_qshape", "build_qshape_iit4", "distance_table",
         "qshape_distance", "row_distance",

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from dyadlab import model, phi
-from dyadlab.errors import DependencyMismatch, NotCrossCoupled, ZeroMarginal
+from dyadlab.errors import ZeroMarginal
 from dyadlab.model import ALL_STATES, UNITS, DyadState, Tpm2, other_unit
 
 ATOL = 1e-12
@@ -61,41 +61,40 @@ def cause_oracle(tpm, unit, state):
     return posterior[w_star] * math.log2(likelihood[w_star] / noised)
 
 
+def _directions(report, unit):
+    """(effect, cause) information of ``unit`` in a big_phi report."""
+    if unit == "A":
+        return report.phi_e_a, report.phi_c_a
+    return report.phi_e_b, report.phi_c_b
+
+
 def test_noised_effect_prob_frozen_values():
+    # the partner's next value with the source unit noised: no unit fixed
     s = model.swap()
-    assert phi.noised_effect_prob(s, "A", 1, "B", 1) == pytest.approx(0.5, abs=ATOL)
-    assert phi.noised_effect_prob(s, "A", 1, "B", 0) == pytest.approx(0.5, abs=ATOL)
-    assert phi.noised_effect_prob(model.not_swap(), "A", 0, "B", 1) == pytest.approx(
-        0.5, abs=ATOL
-    )
-
-
-def test_noised_effect_prob_dependency_mismatch():
-    with pytest.raises(DependencyMismatch):
-        phi.noised_effect_prob(model.identity_tpm(), "A", 0, "B", 1)
+    assert phi._transition_prob(s, "B", 1) == pytest.approx(0.5, abs=ATOL)
+    assert phi._transition_prob(s, "B", 0) == pytest.approx(0.5, abs=ATOL)
+    assert phi._transition_prob(model.not_swap(), "B", 1) == pytest.approx(0.5, abs=ATOL)
 
 
 def test_phi_effect_frozen_values():
-    s = model.swap()
-    assert phi.phi_effect(s, "A", DyadState(1, 0)) == pytest.approx(1.0, abs=ATOL)
-    assert phi.phi_effect(s, "B", DyadState(1, 0)) == pytest.approx(1.0, abs=ATOL)
-    assert phi.phi_effect(model.not_swap(), "A", DyadState(0, 0)) == pytest.approx(
-        1.0, abs=ATOL
-    )
+    report = phi.big_phi(model.swap(), DyadState(1, 0))
+    assert report.phi_e_a == pytest.approx(1.0, abs=ATOL)
+    assert report.phi_e_b == pytest.approx(1.0, abs=ATOL)
+    report = phi.big_phi(model.not_swap(), DyadState(0, 0))
+    assert report.phi_e_a == pytest.approx(1.0, abs=ATOL)
 
 
 def test_phi_cause_frozen_values():
-    s = model.swap()
-    assert phi.phi_cause(s, "A", DyadState(1, 0)) == pytest.approx(1.0, abs=ATOL)
-    assert phi.phi_cause(s, "B", DyadState(1, 0)) == pytest.approx(1.0, abs=ATOL)
-    assert phi.phi_cause(model.not_swap(), "B", DyadState(1, 0)) == pytest.approx(
-        1.0, abs=ATOL
-    )
+    report = phi.big_phi(model.swap(), DyadState(1, 0))
+    assert report.phi_c_a == pytest.approx(1.0, abs=ATOL)
+    assert report.phi_c_b == pytest.approx(1.0, abs=ATOL)
+    report = phi.big_phi(model.not_swap(), DyadState(1, 0))
+    assert report.phi_c_b == pytest.approx(1.0, abs=ATOL)
 
 
 def test_phi_unit_frozen_values():
-    assert phi.phi_unit(model.swap(), "A", DyadState(1, 0)) == pytest.approx(1.0, abs=ATOL)
-    assert phi.phi_unit(model.not_swap(), "A", DyadState(1, 1)) == pytest.approx(
+    assert phi.big_phi(model.swap(), DyadState(1, 0)).phi_a == pytest.approx(1.0, abs=ATOL)
+    assert phi.big_phi(model.not_swap(), DyadState(1, 1)).phi_a == pytest.approx(
         1.0, abs=ATOL
     )
 
@@ -121,21 +120,19 @@ def test_big_phi_identity_is_zero_with_flags():
 def test_formula_matches_joint_table_oracle(cross_coupled_tpms):
     for tpm in cross_coupled_tpms:
         for st in ALL_STATES:
+            report = phi.big_phi(tpm, st)
             for unit in ("A", "B"):
-                assert phi.phi_effect(tpm, unit, st) == pytest.approx(
-                    effect_oracle(tpm, unit, st), abs=ATOL
-                )
-                assert phi.phi_cause(tpm, unit, st) == pytest.approx(
-                    cause_oracle(tpm, unit, st), abs=ATOL
-                )
+                effect, cause = _directions(report, unit)
+                assert effect == pytest.approx(effect_oracle(tpm, unit, st), abs=ATOL)
+                assert cause == pytest.approx(cause_oracle(tpm, unit, st), abs=ATOL)
 
 
 def test_cross_coupled_bijections_have_unit_phi(cross_coupled_tpms):
     for tpm in cross_coupled_tpms:
         for st in ALL_STATES:
+            report = phi.big_phi(tpm, st)
             for unit in ("A", "B"):
-                assert phi.phi_effect(tpm, unit, st) == 1.0
-                assert phi.phi_cause(tpm, unit, st) == 1.0
+                assert _directions(report, unit) == (1.0, 1.0)
 
 
 def test_phi_range_bounds(cross_coupled_tpms):
@@ -169,15 +166,17 @@ def test_big_phi_invariant_under_unit_relabeling(cross_coupled_tpms):
 def test_zero_marginal_for_unreachable_state():
     const = Tpm2([0, 0, 0, 0])
     with pytest.raises(ZeroMarginal):
-        phi.phi_cause(const, "A", DyadState(1, 0))
+        phi.big_phi(const, DyadState(1, 0))
 
 
 def test_not_cross_coupled_for_reachable_state_of_constant_rule():
     const = Tpm2([0, 0, 0, 0])
-    with pytest.raises(NotCrossCoupled):
-        phi.phi_cause(const, "A", DyadState(0, 0))
-    with pytest.raises(NotCrossCoupled):
-        phi.phi_effect(model.identity_tpm(), "A", DyadState(0, 0))
+    report = phi.big_phi(const, DyadState(0, 0))
+    assert "A:cause:not_cross_coupled" in report.flags
+    assert report.phi_c_a == 0.0
+    report = phi.big_phi(model.identity_tpm(), DyadState(0, 0))
+    assert "A:effect:not_cross_coupled" in report.flags
+    assert report.phi_e_a == 0.0
 
 
 def _reads(tpm, target, source):
@@ -209,7 +208,7 @@ def test_big_phi_zero_marginal_and_flags_on_every_single_reader_rule():
                     phi.big_phi(tpm, st)
                 for u in unreachable:
                     with pytest.raises(ZeroMarginal):
-                        phi.phi_cause(tpm, u, st)
+                        phi._cause_detail(tpm, u, st)
                 continue
             expected = []
             for u in UNITS:

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dyadlab import optimizer, qdyn
+from dyadlab import model, optimizer, qdyn
 from dyadlab.errors import GridMismatch, StepTooLarge
 
 A_REF = (2.0, 0.0, 4.0, 6.0)
@@ -60,12 +60,13 @@ def test_prepare_dyad_superposition():
 def test_swap_hamiltonian_generates_the_swap_gate():
     from scipy.linalg import expm
 
-    from dyadlab import qiit
-
+    # |a b> -> |b a>: exchanges |01> and |10>, fixes |00> and |11>
+    swap_gate = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)
+    for s in model.ALL_STATES:
+        assert swap_gate[model.swap().apply(s).index, s.index] == 1.0
     h = qdyn.swap_hamiltonian()
     assert h.dtype == np.float64
-    u = expm(-1j * h)
-    assert np.allclose(u, qiit.swap_unitary(), atol=1e-12)
+    assert np.allclose(expm(-1j * h), swap_gate, atol=1e-12)
 
 
 def test_lindblad_off_diagonal_decay_matches_analytic_rate():
@@ -206,6 +207,16 @@ def test_lindblad_refuses_unstable_step_before_integrating():
     # without collapse (lam = 0) A drops out, so a gap whose square overflows runs
     _, states = qdyn.lindblad_path(rho0, None, (0.0, 1e300, 0.0, 0.0), 0.0, 1e-3, [0.0, 0.5, 1.0])
     assert len(states) == 3 and all(np.array_equal(s, rho0) for s in states)
+
+
+def test_lindblad_of_zero_steps_returns_the_initial_state_for_any_dt():
+    # dt = 3 is far outside RK4's stability region, but t = 1 rounds to no step
+    rho0 = _projector(np.ones(4, dtype=complex) / 2.0)
+    times, states = qdyn.lindblad_path(rho0, None, A_REF, 1.0, 3.0, [1.0])
+    assert times.tolist() == [0.0]
+    assert np.array_equal(states[0], rho0)
+    with pytest.raises(StepTooLarge, match="spectral radius"):
+        qdyn.lindblad_path(rho0, None, A_REF, 1.0, 3.0, [2.0])
 
 
 def test_lindblad_step_too_large_guard():
@@ -593,6 +604,97 @@ def test_exact_collapse_follows_born_weights(state):
     assert undecided <= n // 100
     for k, p in enumerate(qdyn.state_populations(psi)):
         assert abs(outcomes.count(k) - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p)) + undecided
+
+
+def _normal_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _interval_below(f, level):
+    """``(a, b)`` with ``f <= level`` on exactly [a, b] within [-40, 40], for a
+    convex ``f``; ``None`` when that set is empty.  An end at -40 or 40 reads
+    as -inf or inf: a standard normal puts under 1e-300 beyond 40."""
+    lo, hi, iterations = -40.0, 40.0, 200
+    left, right = lo, hi
+    for _ in range(iterations):  # golden-section search for the minimum
+        m1, m2 = left + 0.382 * (right - left), right - 0.382 * (right - left)
+        left, right = (left, m2) if f(m1) <= f(m2) else (m1, right)
+    x_min = 0.5 * (left + right)
+    if f(x_min) > level:
+        return None
+
+    def crossing(inside, outside):  # bisection between a point below level and one above
+        for _ in range(iterations):
+            mid = 0.5 * (inside + outside)
+            inside, outside = (mid, outside) if f(mid) <= level else (inside, mid)
+        return inside
+
+    a = -math.inf if f(lo) <= level else crossing(x_min, lo)
+    b = math.inf if f(hi) <= level else crossing(x_min, hi)
+    return a, b
+
+
+def _outcome_law(psi0, a, lam, t, threshold):
+    """Exact probability of each outcome label of an ``H = None`` run at time
+    ``t``, ``None`` (undecided) included, in plain Python.
+
+    Given the Born-drawn outcome ``j`` and ``xi = W_t / sqrt(t) ~ N(0, 1)``,
+    the final populations are ``p_k ~ w_k exp(2 y_k (xi - y_k))`` with
+    ``w = |psi0|^2`` and ``y_k = (a_k - a_j) sqrt(lam t)``.  ``log(1 / p_k)``
+    is a log-sum-exp of affine functions of ``xi``, so convex, and
+    ``p_k >= threshold`` holds on one interval of ``xi``; the label's
+    probability is the Born-weighted sum of its normal mass.  A threshold
+    above 1/2 lets at most one label hold it.
+    """
+    assert threshold > 0.5
+    w = [abs(complex(c)) ** 2 for c in psi0]
+    support = [m for m in range(4) if w[m] > 0.0]
+    law = dict.fromkeys([*range(4), None], 0.0)
+    for j in support:
+        y = {m: (a[m] - a[j]) * math.sqrt(lam * t) for m in support}
+        decided = 0.0
+        for k in support:
+            def log_inverse_population(xi, k=k):
+                e = [math.log(w[m] / w[k]) + 2.0 * (y[m] * (xi - y[m]) - y[k] * (xi - y[k]))
+                     for m in support]
+                top = max(e)
+                return top + math.log(sum(math.exp(v - top) for v in e))
+
+            ends = _interval_below(log_inverse_population, -math.log(threshold))
+            if ends is not None:
+                mass = _normal_cdf(ends[1]) - _normal_cdf(ends[0])
+                law[k] += w[j] * mass
+                decided += mass
+        law[None] += w[j] * (1.0 - decided)
+    return law
+
+
+@pytest.mark.parametrize(
+    "state, a, lam, t, threshold",
+    [
+        # the two middle eigenvalues cannot reach 0.99 by t = 0.3: probability exactly 0
+        ("uniform", (0.0, 2.0, 6.0, 4.0), 1.0, 0.3, 0.99),
+        ("uniform", (0.0, 2.0, 6.0, 4.0), 1.0, 1.0, 0.9),
+        ("pair_00_01", A_REF, 1.0, 0.5, 0.99),
+        ("pair_00_10", (0.0, 2.0, 6.0, 4.0), 1.0, 0.05, 0.75),
+        ("random", A_REF, 1.3, 0.2, 0.6),
+    ],
+)
+def test_exact_outcome_counts_follow_their_law(state, a, lam, t, threshold):
+    # each label's count is binomial(n, p) with p from _outcome_law: within
+    # 5 sigma, and exactly 0 where p is 0
+    psi = _oracle_states()[state]
+    n = 4000
+    records = qdyn.simulate_ensemble(
+        psi, None, a, lam, 1e-3, t, n_trajectories=n, seed=23, collapse_threshold=threshold
+    )
+    outcomes = [r.outcome for r in records]
+    law = _outcome_law(psi, a, lam, t, threshold)
+    assert math.isclose(sum(law.values()), 1.0, abs_tol=1e-12)
+    if state == "uniform" and t == 0.3:
+        assert law[1] == law[3] == 0.0 < min(law[0], law[2], law[None])
+    for label, p in law.items():
+        assert abs(outcomes.count(label) - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p)), label
 
 
 @pytest.mark.parametrize("state", ["uniform", "random"])

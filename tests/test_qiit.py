@@ -1,13 +1,15 @@
-"""Density-operator integrated information: frozen values and reductions."""
+"""Density-operator integrated information: frozen values, reductions, and a
+general spectral QID as the oracle for the closed form."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import logm
 
 from conftest import random_density, random_pure
-from dyadlab import model, phi, qdyn, qiit
-from dyadlab.errors import InfiniteDivergence, NotUnitary, UnsupportedState
+from dyadlab import model, phi, qiit
+from dyadlab.errors import UnsupportedState
 
 ATOL = 1e-12
 
@@ -29,12 +31,38 @@ def _basis_projector(index):
 
 PLUS0 = _proj(np.kron(KET_PLUS, KET_0))
 ZEROPLUS = _proj(np.kron(KET_0, KET_PLUS))
-MM2 = qiit.maximally_mixed(2)
+MM2 = np.eye(2, dtype=complex) / 2.0
 MM4 = np.kron(MM2, MM2)
 
 
+def _ensemble(rho):
+    """Eigenvalues above 1e-12 of ``rho`` and their eigenstates, one per row."""
+    w, v = np.linalg.eigh(rho)
+    keep = w > 1e-12
+    return w[keep], v[:, keep].T
+
+
+def _qid_terms(p_probs, p_states, q_probs, q_states):
+    """Per-eigenstate terms p_i (log2 p_i - sum_j |<psi_i|phi_j>|^2 log2 q_j)."""
+    overlaps = np.abs(p_states.conj() @ q_states.T) ** 2
+    return p_probs * (np.log2(p_probs) - overlaps @ np.log2(q_probs))
+
+
+def spectral_qid(rho, sigma):
+    """QID(rho || sigma) in bits for any full-support ``sigma``: the largest
+    per-eigenstate term of the two spectral ensembles."""
+    return float(np.max(_qid_terms(*_ensemble(rho), *_ensemble(sigma))))
+
+
+def _random_product_parts(rng, mixed):
+    return [random_density(rng, 2) if mixed else _proj(random_pure(rng, 2)) for _ in range(2)]
+
+
 def test_swap_unitary_is_the_basis_permutation():
-    u = qiit.swap_unitary()
+    # |a b> -> |b a>: column s holds the basis vector of swap(s)
+    u = np.zeros((4, 4))
+    for s in model.ALL_STATES:
+        u[model.swap().apply(s).index, s.index] = 1.0
     assert np.array_equal(u, u.conj().T)
     assert np.array_equal(u @ u, np.eye(4))
     psi = np.array([0.1, 0.2, 0.3, 0.4], dtype=complex)
@@ -42,81 +70,32 @@ def test_swap_unitary_is_the_basis_permutation():
     assert swapped.tolist() == [0.1, 0.3, 0.2, 0.4]
 
 
-def test_unitary_step_frozen_examples():
-    u = qiit.swap_unitary()
-    assert np.allclose(qiit.unitary_step(ZEROPLUS, u), PLUS0, atol=ATOL)
-    assert np.allclose(qiit.unitary_step(MM4, u), MM4, atol=ATOL)
-    assert np.allclose(
-        qiit.unitary_step(_basis_projector(1), u), _basis_projector(2), atol=ATOL
-    )
-
-
-def test_unitary_step_preserves_density_invariants(rng):
-    u = qiit.swap_unitary()
-    for _ in range(5):
-        rho = random_density(rng, 4)
-        out = qiit.unitary_step(rho, u)
-        qdyn.validate_density_matrix(out)
-
-
-def test_unitary_step_rejects_non_unitary():
-    with pytest.raises(NotUnitary):
-        qiit.unitary_step(MM4, 2.0 * np.eye(4))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_unitary_step_refuses_non_finite_entries(bad):
-    with pytest.raises(ValueError, match="unitary has a non-finite entry"):
-        qiit.unitary_step(MM4, np.diag([bad, 1.0, 1.0, 1.0]))
-
-
 def test_non_finite_states_are_refused_by_name():
     rho = np.diag([math.nan, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="density matrix has a non-finite entry"):
         qiit.quantum_big_phi(rho)
-    with pytest.raises(ValueError, match="density matrix has a non-finite entry"):
-        qiit.qid(np.diag([math.nan, 1.0]), MM2)
-
-
-def test_relative_entropy_frozen_values():
-    assert qiit.quantum_relative_entropy(_proj(KET_0), MM2) == pytest.approx(1.0, abs=ATOL)
-    assert qiit.quantum_relative_entropy(_proj(KET_PLUS), MM2) == pytest.approx(
-        1.0, abs=ATOL
-    )
-
-
-def test_relative_entropy_of_state_with_itself_is_zero(rng):
-    for dim in (2, 4):
-        for _ in range(5):
-            rho = random_density(rng, dim)
-            assert qiit.quantum_relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_relative_entropy_support_guard():
-    with pytest.raises(InfiniteDivergence):
-        qiit.quantum_relative_entropy(_proj(KET_0), _proj(KET_1))
-    with pytest.raises(InfiniteDivergence):
-        qiit.quantum_relative_entropy(MM2, _proj(KET_PLUS))
 
 
 def test_qid_equals_relative_entropy_for_pure_states(rng):
+    # checks the oracle: for pure rho = |psi><psi|, S(rho||sigma) = -<psi|log2 sigma|psi>
     for _ in range(10):
         psi = random_pure(rng, 2)
-        sigma = random_density(rng, 2)
         # keep sigma full rank so the divergence is finite
-        sigma = 0.9 * sigma + 0.1 * MM2
-        assert qiit.qid(_proj(psi), sigma) == pytest.approx(
-            qiit.quantum_relative_entropy(_proj(psi), sigma), abs=1e-10
-        )
+        sigma = 0.9 * random_density(rng, 2) + 0.1 * MM2
+        relative_entropy = -(psi.conj() @ logm(sigma) @ psi).real / math.log(2.0)
+        assert spectral_qid(_proj(psi), sigma) == pytest.approx(relative_entropy, abs=1e-10)
 
 
 def test_qid_frozen_values():
-    assert qiit.qid(_proj(KET_PLUS), MM2) == pytest.approx(1.0, abs=ATOL)
-    assert qiit.qid(_proj(KET_PLUS), _proj(KET_PLUS)) == pytest.approx(0.0, abs=ATOL)
-    assert qiit.qid(MM2, MM2) == pytest.approx(0.0, abs=ATOL)
+    assert spectral_qid(_proj(KET_PLUS), MM2) == pytest.approx(1.0, abs=ATOL)
+    assert spectral_qid(_proj(KET_PLUS), _proj(KET_PLUS)) == pytest.approx(0.0, abs=ATOL)
+    assert spectral_qid(MM2, MM2) == pytest.approx(0.0, abs=ATOL)
+    report = qiit.quantum_big_phi(np.kron(_proj(KET_PLUS), MM2))
+    assert (report.phi_a, report.phi_b) == (pytest.approx(1.0, abs=ATOL), 0.0)
 
 
 def test_qid_is_basis_independent_within_degenerate_subspaces():
+    # I/2 is degenerate: any orthonormal basis is an eigenbasis of it
     probs = np.array([0.5, 0.5])
     basis_comp = np.stack([KET_0, KET_1])
     basis_diag = np.stack(
@@ -125,18 +104,20 @@ def test_qid_is_basis_independent_within_degenerate_subspaces():
             np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),
         ]
     )
-    p_probs, p_states = qiit.spectral_ensemble(_proj(KET_PLUS))
-    terms_comp = qiit._information_terms(p_probs, p_states, probs, basis_comp)
-    terms_diag = qiit._information_terms(p_probs, p_states, probs, basis_diag)
+    p_probs, p_states = _ensemble(_proj(KET_PLUS))
+    terms_comp = _qid_terms(p_probs, p_states, probs, basis_comp)
+    terms_diag = _qid_terms(p_probs, p_states, probs, basis_diag)
     assert terms_comp.max() == pytest.approx(terms_diag.max(), abs=ATOL)
     assert terms_comp.sum() == pytest.approx(terms_diag.sum(), abs=ATOL)
+    assert qiit.quantum_big_phi(PLUS0).phi_a == pytest.approx(terms_comp.max(), abs=1e-14)
 
 
 def test_spectral_ensemble_round_trip(rng):
+    # checks the oracle's ensembles
     for dim in (2, 4):
         for _ in range(5):
             rho = random_density(rng, dim)
-            probs, states = qiit.spectral_ensemble(rho)
+            probs, states = _ensemble(rho)
             assert np.all(probs > 0)
             assert probs.sum() == pytest.approx(1.0, abs=1e-10)
             gram = states.conj() @ states.T
@@ -146,28 +127,32 @@ def test_spectral_ensemble_round_trip(rng):
 
 
 def test_partial_traces_of_product_states():
-    assert np.allclose(qiit.partial_trace(PLUS0, "A"), _proj(KET_PLUS), atol=ATOL)
-    assert np.allclose(qiit.partial_trace(PLUS0, "B"), _proj(KET_0), atol=ATOL)
-    assert np.allclose(qiit.partial_trace(MM4, "A"), MM2, atol=ATOL)
+    marginals = qiit._product_marginals(PLUS0)
+    assert np.allclose(marginals["A"], _proj(KET_PLUS), atol=ATOL)
+    assert np.allclose(marginals["B"], _proj(KET_0), atol=ATOL)
+    assert np.allclose(qiit._product_marginals(MM4)["A"], MM2, atol=ATOL)
 
 
 def test_quantum_phi_unit_frozen_values():
-    # with B in the balanced pure state its effect term is one full bit
-    assert qiit.quantum_phi_unit("B", ZEROPLUS, "effect") == pytest.approx(1.0, abs=ATOL)
-    # with A in the definite 0 state its cause term is also one bit
-    assert qiit.quantum_phi_unit("A", ZEROPLUS, "cause") == pytest.approx(1.0, abs=ATOL)
+    report = qiit.quantum_big_phi(ZEROPLUS)
+    # with B in the balanced pure state its term is one full bit
+    assert report.phi_b == pytest.approx(1.0, abs=ATOL)
+    # with A in the definite 0 state its term is also one bit
+    assert report.phi_a == pytest.approx(1.0, abs=ATOL)
 
 
 def test_quantum_phi_matches_classical_on_basis_states():
     s = model.swap()
     for st in model.ALL_STATES:
         rho = _basis_projector(st.index)
-        for unit in ("A", "B"):
-            classical = phi.phi_unit(s, unit, st)
-            for direction in ("cause", "effect"):
-                assert qiit.quantum_phi_unit(unit, rho, direction) == pytest.approx(
-                    classical, abs=ATOL
-                )
+        quantum = qiit.quantum_big_phi(rho)
+        classical = phi.big_phi(s, st)
+        assert quantum.phi_a == pytest.approx(classical.phi_a, abs=ATOL)
+        assert quantum.phi_b == pytest.approx(classical.phi_b, abs=ATOL)
+        for unit, part in qiit._product_marginals(rho).items():
+            assert spectral_qid(part, MM2) == pytest.approx(
+                classical.phi_a if unit == "A" else classical.phi_b, abs=ATOL
+            )
 
 
 def test_quantum_big_phi_superposed_state():
@@ -191,29 +176,25 @@ def test_quantum_big_phi_of_maximally_mixed_state_vanishes():
     assert report.phi_a == pytest.approx(0.0, abs=ATOL)
     assert report.phi_b == pytest.approx(0.0, abs=ATOL)
     assert report.big_phi == pytest.approx(0.0, abs=ATOL)
+    assert spectral_qid(MM2, MM2) == pytest.approx(0.0, abs=ATOL)
 
 
 def test_entangled_states_are_rejected():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
     with pytest.raises(UnsupportedState):
-        qiit.quantum_phi_unit("A", _proj(bell), "effect")
-    with pytest.raises(UnsupportedState):
         qiit.quantum_big_phi(_proj(bell))
 
 
 def test_quantum_big_phi_is_min_over_directions_of_each_unit(rng):
+    # under the swap rule a unit's cause and effect terms are both
+    # QID(rho_unit || I/2), so their minimum is that one divergence
     for mixed in (False, True):
         for _ in range(10):
-            parts = [
-                random_density(rng, 2) if mixed else _proj(random_pure(rng, 2)) for _ in range(2)
-            ]
-            rho = np.kron(*parts)
-            report = qiit.quantum_big_phi(rho)
-            for unit, value, part in (("A", report.phi_a, parts[0]), ("B", report.phi_b, parts[1])):
-                directions = [qiit.quantum_phi_unit(unit, rho, d) for d in ("cause", "effect")]
-                assert value == min(directions)
-                assert value == pytest.approx(qiit.qid(part, MM2), abs=1e-9)
+            parts = _random_product_parts(rng, mixed)
+            report = qiit.quantum_big_phi(np.kron(*parts))
+            for value, part in ((report.phi_a, parts[0]), (report.phi_b, parts[1])):
+                assert value == pytest.approx(spectral_qid(part, MM2), abs=1e-9)
             assert report.big_phi == report.phi_a + report.phi_b
     bell = np.zeros(4, dtype=complex)
     bell[1] = bell[2] = 1.0 / math.sqrt(2.0)
@@ -221,6 +202,15 @@ def test_quantum_big_phi_is_min_over_directions_of_each_unit(rng):
         qiit.quantum_big_phi(_proj(bell))
     with pytest.raises(ValueError, match="trace"):
         qiit.quantum_big_phi(2.0 * MM4)
+
+
+def test_closed_form_matches_spectral_qid_on_random_product_states(rng):
+    for mixed in (False, True):
+        for _ in range(1000):
+            parts = _random_product_parts(rng, mixed)
+            report = qiit.quantum_big_phi(np.kron(*parts))
+            assert abs(report.phi_a - spectral_qid(parts[0], MM2)) <= 1e-14
+            assert abs(report.phi_b - spectral_qid(parts[1], MM2)) <= 1e-14
 
 
 def test_report_json_field_names():

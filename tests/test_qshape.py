@@ -158,8 +158,8 @@ def test_iit4_style_reads_big_phi(cross_coupled_tpms):
             assert style.maximizer_b == report.maximizing_states["B"]["effect"]
             # each maximizer is the partner's realized next value
             assert (style.maximizer_a, style.maximizer_b) == (tpm.apply(st_).b, tpm.apply(st_).a)
-            assert style.phi_a == phi.phi_unit(tpm, "A", st_)
-            assert style.phi_b == phi.phi_unit(tpm, "B", st_)
+            assert style.phi_a == min(report.phi_c_a, report.phi_e_a)
+            assert style.phi_b == min(report.phi_c_b, report.phi_e_b)
 
 
 def test_iit4_styles_are_pairwise_distinct():
