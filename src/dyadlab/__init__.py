@@ -7,7 +7,9 @@ density-operator version of the integrated-information calculus.
 
 The package imports lazily (PEP 562): ``import dyadlab`` loads no submodule,
 and each name below loads its submodule on first access, so the classical
-calculus (``model``, ``phi``, ``qshape``) runs without importing numpy.
+calculus (``model``, ``phi``, ``qshape``), the gap solver (``optimizer``
+but for its lattice search and ``SWAP_TABLE``, an ndarray built on first
+access) and the quantum calculus (``qiit``) run without importing numpy.
 """
 
 import importlib

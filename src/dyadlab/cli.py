@@ -16,8 +16,9 @@ to ``--output``.  If the environment variable ``DYADLAB_OUT_DIR`` is set,
 relative ``--output`` paths are resolved inside that directory.
 
 Each handler imports the modules it uses, so ``phi``, ``qshape``,
-``distances`` and argument errors run without importing numpy, and only
-``optimize`` imports the optimizer.
+``distances``, ``optimize`` without ``--oracle``, ``qphi`` and argument
+errors run without importing numpy, and only ``optimize`` imports the
+optimizer.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def cmd_distances(args) -> str:
     return _json_text(payload)
 
 
-def _parse_table(data) -> np.ndarray:
+def _parse_table(data) -> tuple:
     from . import optimizer
 
     if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
@@ -199,11 +200,11 @@ def _parse_table(data) -> np.ndarray:
     return optimizer.validate_table(data)
 
 
-def _load_table(path: str | None) -> np.ndarray:
+def _load_table(path: str | None) -> tuple:
     from . import optimizer
 
     if path is None:
-        return optimizer.SWAP_TABLE
+        return optimizer.SWAP_ROWS
     return _read_json(path, "distance table", _parse_table)
 
 
@@ -212,12 +213,12 @@ def cmd_optimize(args) -> str:
 
     table = _load_table(args.table)
     result = optimizer.solve(table)
-    payload = {"table": table.tolist(), **result.to_json()}
+    payload = {"table": [list(row) for row in table], **result.to_json()}
     if args.oracle:
         oracle = optimizer.grid_oracle(table, granularity=args.granularity, bound=args.bound)
         payload["oracle"] = {
             "granularity": args.granularity,
-            "bound": args.bound if args.bound is not None else 3.0 * float(table.max()),
+            "bound": args.bound if args.bound is not None else 3.0 * max(map(max, table)),
             "minimizers": [m.to_json() for m in oracle.minimizers],
             "optimal_sum": oracle.optimal_sum,
             "agrees": oracle.minimizers == result.minimizers,
@@ -369,41 +370,39 @@ def _amplitude_values(data) -> list[complex]:
     return values
 
 
-def _parse_amplitudes(path: str) -> np.ndarray:
-    import numpy as np
-
+def _parse_amplitudes(path: str) -> list[complex]:
     values = _read_json(path, "amplitudes", _amplitude_values)
-    psi = np.array(values, dtype=complex)
-    if psi.shape != (4,):
+    if len(values) != 4:
         raise UsageError("amplitudes must list exactly 4 entries")
-    for i, v in enumerate(psi):
-        if not np.isfinite(v):
+    for i, v in enumerate(values):
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise UsageError(f"amplitude {i} is not finite: {v}")
-    with np.errstate(over="ignore"):  # an overflowing norm is reported as inf below
-        norm = np.linalg.norm(psi)
+    # np.linalg.norm's formula; a norm past the float range is inf, refused below
+    norm = math.sqrt(sum(v.real * v.real for v in values) + sum(v.imag * v.imag for v in values))
     if abs(norm - 1.0) > 1e-8:
         raise UsageError(f"amplitudes are not normalized (norm {norm:.6f})")
-    return psi / norm
+    # numpy divides a complex array by a real scalar through its reciprocal
+    scale = 1.0 / norm
+    return [complex(v.real * scale, v.imag * scale) for v in values]
 
 
 def cmd_qphi(args) -> str:
-    import numpy as np
-
-    from . import qdyn, qiit
+    from . import qiit
 
     if args.amplitudes:
         psi = _parse_amplitudes(args.amplitudes)
         label = "custom"
     else:
         label = args.state
-        if label == "plus0":
-            psi = qdyn.prepare_dyad_superposition()
+        s = 1.0 / math.sqrt(2.0)
+        if label == "plus0":  # (|00> + |10>)/sqrt(2), as qdyn.prepare_dyad_superposition
+            psi = [s, 0.0, s, 0.0]
         elif label == "0plus":
-            psi = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / math.sqrt(2.0)
+            psi = [s, s, 0.0, 0.0]
         else:
-            psi = np.zeros(4, dtype=complex)
+            psi = [0.0] * 4
             psi[_parse_state(label).index] = 1.0
-    rho = np.outer(psi, psi.conj())
+    rho = [[p * q.conjugate() for q in psi] for p in psi]
     report = qiit.quantum_big_phi(rho)
     return _json_text({"state": label, **report.to_json()})
 

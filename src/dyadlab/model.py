@@ -6,11 +6,13 @@ downstream (probability vectors, density matrices, distance tables) uses
 that ordering.
 
 All values here are immutable after construction and safe to share across
-threads.
+threads.  The density-matrix check lives here too, in plain Python over the
+16 entries, so that the quantum calculus can validate a state without numpy.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -93,6 +95,64 @@ ALL_STATES = tuple(DyadState.from_index(i) for i in range(4))
 STATE_LABELS = tuple(s.label for s in ALL_STATES)
 # Index pairs (i, k), i < k, of the six entries above a density matrix's diagonal.
 COHERENCE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+# Hermiticity and trace of a density matrix hold within _DENSITY_ATOL, and
+# none of its eigenvalues lies below -_PSD_ATOL.
+_DENSITY_ATOL = 1e-10
+_PSD_ATOL = 1e-8
+
+
+def validate_density_matrix(rho, dim: int = 4) -> list[list[complex]]:
+    """``rho`` (nested sequences or an ndarray) as ``dim`` rows of ``dim``
+    complex entries, if it is a density matrix; ValueError otherwise."""
+    # an ndarray lists its entries at C speed, and as Python numbers
+    entries = rho.tolist() if hasattr(rho, "tolist") else rho
+    try:
+        rows = [list(map(complex, row)) for row in entries]
+    except TypeError:  # a scalar, or a row or entry that is not a number
+        rows = None
+    if rows is None or len(rows) != dim or any(len(row) != dim for row in rows):
+        shape = getattr(rho, "shape", None)
+        got = f"shape {shape}" if shape is not None else repr(rho)
+        raise ValueError(f"density matrix must be {dim}x{dim}, got {got}")
+    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for row in rows for v in row):
+        raise ValueError("density matrix has a non-finite entry")
+    drift = max(abs(rows[i][k] - rows[k][i].conjugate()) for i in range(dim) for k in range(i, dim))
+    if not drift <= _DENSITY_ATOL:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    if not abs(sum(rows[i][i] for i in range(dim)) - 1.0) <= _DENSITY_ATOL:
+        raise ValueError("density matrix trace is not 1 within tolerance")
+    if not _positive_semidefinite(rows, _PSD_ATOL):
+        raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+    return rows
+
+
+def _positive_semidefinite(rows, shift: float) -> bool:
+    """True iff the Hermitian matrix whose lower triangle ``rows`` holds has no
+    eigenvalue below ``-shift``: iff ``rows + shift*I`` is positive semidefinite.
+
+    Tested by an LDL^H factorisation with diagonal pivoting, which is stable
+    for semidefinite matrices (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 10): each step eliminates the largest remaining
+    diagonal entry, and the matrix is semidefinite iff no pivot is negative
+    and a zero pivot leaves only zeros.  A NaN from overflow fails a pivot.
+    """
+    n = len(rows)
+    s = [[rows[i][k] if i >= k else rows[k][i].conjugate() for k in range(n)] for i in range(n)]
+    for i in range(n):
+        s[i][i] = rows[i][i].real + shift
+    left = list(range(n))
+    while left:
+        p = max(left, key=lambda i: s[i][i].real)
+        d = s[p][p].real
+        if not d > 0.0:  # every remaining diagonal entry is d or less
+            return d == 0.0 and not any(s[i][k] for i in left for k in left)
+        left.remove(p)
+        for i in left:
+            f = s[i][p] / d
+            for k in left:
+                s[i][k] -= f * s[p][k]
+    return True
 
 
 class Tpm2:

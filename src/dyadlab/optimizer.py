@@ -15,8 +15,10 @@ w ordered the same way, induction gives greedy_k <= w_k - w_min, so
 each ordering's greedy completion dominates every feasible point with that
 ordering; collecting the completions of minimal sum therefore yields the
 exact minimizer set.  An independent lattice search cross-checks this.
-Both searches, and :func:`feasible`, test points with one array rule,
-:func:`_feasible`, applied to many points at once.
+Both searches, and :func:`feasible`, test points with one rule,
+:func:`_feasible`, written over four coordinate columns that are floats for
+one point and arrays for a lattice.  Everything but the lattice search is
+plain Python over 4-tuples, so solving loads no numpy.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import InfeasibleTable
 
 TOLERANCE = 1e-9
@@ -35,19 +35,30 @@ TOLERANCE = 1e-9
 # coordinates), scanned once for each of the four pinned coordinates.
 MAX_LATTICE_POINTS = 250_000
 # Points reach 3x the largest entry (lattice points, the bound), and _collect's
-# round(v, 9) multiplies them by 1e9; this cap keeps those and all sums finite.
+# 9-digit rounding multiplies them by 1e9; this cap keeps those and all sums finite.
 MAX_TABLE_ENTRY = 1e298
+# Index pairs (i, j), i < j, of the six gaps.
+_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 # Reference distance table for the swap dyad.  The collapse-operator
 # optimization and the `optimize` CLI default are defined on this table.
-SWAP_TABLE = np.array(
-    [
-        [0.0, 2.0, 2.0, 2.0],
-        [2.0, 0.0, 4.0, 2.0],
-        [2.0, 4.0, 0.0, 2.0],
-        [2.0, 2.0, 2.0, 0.0],
-    ]
+SWAP_ROWS = (
+    (0.0, 2.0, 2.0, 2.0),
+    (2.0, 0.0, 4.0, 2.0),
+    (2.0, 4.0, 0.0, 2.0),
+    (2.0, 2.0, 2.0, 0.0),
 )
+
+
+def __getattr__(name):
+    """``SWAP_TABLE``, the ndarray of ``SWAP_ROWS``, built on first access
+    (PEP 562), so that importing the optimizer loads no numpy."""
+    if name != "SWAP_TABLE":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+
+    table = globals()["SWAP_TABLE"] = np.array(SWAP_ROWS)
+    return table
 
 
 class EigenAssignment(NamedTuple):
@@ -94,36 +105,50 @@ class OptimizationResult:
         }
 
 
-def validate_table(table) -> np.ndarray:
-    table = np.asarray(table, dtype=float)
-    if table.shape != (4, 4):
+def validate_table(table) -> tuple:
+    """``table`` (nested sequences or an ndarray) as four 4-tuples of floats,
+    if it is a distance table; ValueError otherwise."""
+    # an ndarray lists its entries at C speed, and as Python floats
+    entries = table.tolist() if hasattr(table, "tolist") else table
+    try:
+        rows = tuple(tuple(map(float, row)) for row in entries)
+    except TypeError:  # a scalar, or a row or entry that is not a number
+        rows = ()
+    if len(rows) != 4 or any(len(row) != 4 for row in rows):
         raise ValueError("distance table must be 4x4")
-    if not np.all(np.isfinite(table)):
+    values = [v for row in rows for v in row]
+    if not all(map(math.isfinite, values)):
         raise ValueError("distance table must be finite")
-    if np.any(table < 0) or np.any(table > MAX_TABLE_ENTRY):
+    if not all(0 <= v <= MAX_TABLE_ENTRY for v in values):
         raise ValueError(f"distance table entries must lie in [0, {MAX_TABLE_ENTRY:g}]")
-    if np.any(np.abs(np.diag(table)) > TOLERANCE):
+    if any(abs(rows[i][i]) > TOLERANCE for i in range(4)):
         raise ValueError("distance table must have a zero diagonal")
-    if not np.allclose(table, table.T, atol=TOLERANCE):
+    if any(abs(rows[i][j] - rows[j][i]) > TOLERANCE for i, j in _PAIRS):
         raise ValueError("distance table must be symmetric")
-    return table
+    return rows
 
 
 def feasible(assignment: EigenAssignment, table) -> bool:
     """True iff all eigenvalues are finite and non-negative and every gap is
     satisfied, the last two within ``TOLERANCE``; a NaN or infinite
     eigenvalue is never feasible."""
-    return bool(_feasible(np.array([assignment], dtype=float), validate_table(table))[0])
+    return bool(_feasible(tuple(map(float, assignment)), validate_table(table)))
 
 
-def _feasible(points: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Row mask of the ``(n, 4)`` points that :func:`feasible` accepts, for an
-    already validated table."""
-    mask = np.all(np.isfinite(points) & (points >= -TOLERANCE), axis=1)
-    with np.errstate(invalid="ignore"):  # the gap of two infinite values is NaN
-        for i, j in itertools.combinations(range(4), 2):
-            mask &= np.abs(points[:, i] - points[:, j]) >= table[i, j] - TOLERANCE
-    return mask
+def _feasible(columns, table):
+    """Which of the points with coordinates ``columns`` :func:`feasible`
+    accepts, for an already validated table: a bool when the four columns
+    are floats, a row mask when they are equal-length arrays.
+
+    Written with operators that act alike on both; ``v - v == 0`` is the
+    finiteness test, false for NaN and for either infinity.
+    """
+    ok = True
+    for v in columns:
+        ok = ok & (v - v == 0) & (v >= -TOLERANCE)
+    for i, j in _PAIRS:
+        ok = ok & (abs(columns[i] - columns[j]) >= table[i][j] - TOLERANCE)
+    return ok
 
 
 def pairwise_rate_sum(assignment: EigenAssignment) -> float:
@@ -140,20 +165,28 @@ def _greedy_completion(order, table) -> tuple:
         i = order[pos]
         lo = values[order[pos - 1]]
         for j in order[:pos]:
-            lo = max(lo, values[j] + table[i, j])
+            lo = max(lo, values[j] + table[i][j])
         values[i] = lo
     return tuple(values)
 
 
-def _collect(points: np.ndarray) -> OptimizationResult:
-    """Minimizer set of the ``(n, 4)`` feasible points: those of least sum,
-    one for each 9-digit rounding (the last one given), sorted."""
-    if not len(points):
+def _collect(points) -> OptimizationResult:
+    """Minimizer set of the feasible ``points`` (sequences of four floats):
+    those of least sum, one for each 9-digit rounding (the last one given),
+    sorted.
+
+    Sums add the coordinates left to right, as numpy's row sum does, and
+    ``round(v * 1e9) / 1e9`` is ``np.round(v, 9)`` bit for bit.
+    """
+    if not points:
         raise InfeasibleTable("no assignment satisfies the gap constraints")
-    sums = points.sum(axis=1)
-    best = sums.min()
-    near = points[sums <= best + TOLERANCE]
-    seen = dict(zip(map(tuple, np.round(near, 9).tolist()), map(tuple, near.tolist())))
+    sums = [sum(p) for p in points]
+    best = min(sums)
+    seen = {
+        tuple(round(v * 1e9) / 1e9 for v in p): tuple(p)
+        for p, total in zip(points, sums)
+        if total <= best + TOLERANCE
+    }
     minimizers = tuple(EigenAssignment.from_values(p) for p in sorted(seen.values()))
     return OptimizationResult(
         minimizers=minimizers,
@@ -166,9 +199,9 @@ def solve(table) -> OptimizationResult:
     """Exact minimizer set via ordering enumeration plus greedy tightening."""
     table = validate_table(table)
     # a gap of at most TOLERANCE is met by equal values, so it places nothing
-    placed = np.where(table <= TOLERANCE, 0.0, table)
-    points = np.array([_greedy_completion(o, placed) for o in itertools.permutations(range(4))])
-    return _collect(points[_feasible(points, table)])
+    placed = [[0.0 if v <= TOLERANCE else v for v in row] for row in table]
+    points = (_greedy_completion(o, placed) for o in itertools.permutations(range(4)))
+    return _collect([p for p in points if _feasible(p, table)])
 
 
 def grid_oracle(table, granularity: float = 1.0, bound: float | None = None) -> OptimizationResult:
@@ -181,10 +214,12 @@ def grid_oracle(table, granularity: float = 1.0, bound: float | None = None) -> 
     :class:`InfeasibleTable` naming the lattice when none of its points is
     feasible, which a coarse granularity or a tight bound can cause.
     """
+    import numpy as np
+
     table = validate_table(table)
     if not (math.isfinite(granularity) and granularity > 0):
         raise ValueError("granularity must be finite and positive")
-    min_bound = 3.0 * float(table.max())
+    min_bound = 3.0 * max(map(max, table))
     if bound is None:
         bound = min_bound
     if not (math.isfinite(bound) and bound <= 3.0 * MAX_TABLE_ENTRY):
@@ -201,11 +236,15 @@ def grid_oracle(table, granularity: float = 1.0, bound: float | None = None) -> 
     free = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     # each pinned grid is built, filtered and dropped in turn, to keep the peak at one
     grids = (np.insert(free, pinned, 0.0, axis=1) for pinned in range(4))
-    kept = np.concatenate([grid[_feasible(grid, table)] for grid in grids])
+    kept = np.concatenate([grid[_feasible(grid.T, table)] for grid in grids])
     if not len(kept):  # every table is feasible; this lattice is too coarse for it
         raise InfeasibleTable(
             f"no point of the lattice of granularity {granularity!r} on [0, {bound!r}] "
             "satisfies the gap constraints; use a finer granularity or a larger bound"
         )
+    # _collect keeps only the rows within TOLERANCE of the least sum, so cut
+    # the rest here, where numpy's sums are the ones _collect computes
+    sums = kept.sum(axis=1)
+    near = kept[sums <= sums.min() + TOLERANCE]
     # distinct rows in sorted order: each 9-digit rounding keeps its largest point
-    return _collect(np.unique(kept, axis=0))
+    return _collect(np.unique(near, axis=0).tolist())

@@ -18,38 +18,39 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import UnsupportedState
-from .model import UNIT_A, UNIT_B, UNITS
-from .qdyn import validate_density_matrix
+from .model import UNIT_A, UNIT_B, UNITS, validate_density_matrix
 
 _PRODUCT_ATOL = 1e-10
-# einsum of rho.reshape(2, 2, 2, 2) that traces out the other channel
-_REDUCE = {UNIT_A: "abcb->ac", UNIT_B: "abad->bd"}
 
 
-def _product_marginals(state) -> dict[str, np.ndarray]:
-    """Both channels' reduced states of a product state, keyed by unit.
+def _product_marginals(state) -> dict[str, list[list[complex]]]:
+    """Both channels' reduced states of a product state, keyed by unit, as
+    2x2 rows of complex.
 
     Validates ``state`` once and raises ``UnsupportedState`` when it is not
-    the product of its two reduced states.
+    the product of its two reduced states.  Entry ``(2a + b, 2c + d)`` of the
+    4x4 state is ``<a b| rho |c d>``, so tracing out B sums over ``b = d``
+    and tracing out A over ``a = c``.
     """
     rho = validate_density_matrix(state)
-    r = rho.reshape(2, 2, 2, 2)
-    marginals = {unit: np.einsum(spec, r) for unit, spec in _REDUCE.items()}
-    residual = np.max(np.abs(rho - np.kron(marginals[UNIT_A], marginals[UNIT_B])))
+    m_a = [[rho[2 * a][2 * c] + rho[2 * a + 1][2 * c + 1] for c in (0, 1)] for a in (0, 1)]
+    m_b = [[rho[b][d] + rho[2 + b][2 + d] for d in (0, 1)] for b in (0, 1)]
+    residual = max(
+        abs(rho[2 * a + b][2 * c + d] - m_a[a][c] * m_b[b][d])
+        for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)
+    )
     if not residual <= _PRODUCT_ATOL:  # a NaN residual is no product either
         raise UnsupportedState(
             "integrated information is only defined here for product states "
             "of the two channels; entangled inputs are rejected"
         )
-    return marginals
+    return {UNIT_A: m_a, UNIT_B: m_b}
 
 
 def _unit_phi(m) -> float:
     """QID(m || I/2) of a qubit density matrix, in bits, from its Bloch length."""
-    r = math.hypot(m[0, 0].real - m[1, 1].real, 2.0 * abs(m[0, 1]))
+    r = math.hypot(m[0][0].real - m[1][1].real, 2.0 * abs(m[0][1]))
     p = (1.0 + r) / 2.0
     return p * (math.log2(p) + 1.0)
 

@@ -127,6 +127,17 @@ def test_optimize_bad_table_exits_2(tmp_path, capsys):
     assert cli.main(["optimize", "--table", str(table_path)]) == 2
 
 
+def test_optimize_refuses_a_table_asymmetric_beyond_tolerance(tmp_path):
+    # accepted once, when the oracle then printed "agrees": false for it
+    table = [list(row) for row in optimizer.SWAP_ROWS]
+    table[1][0] = 2.00001
+    path = tmp_path / "asymmetric.json"
+    path.write_text(json.dumps(table))
+    code, out, err = _main_in_process(["optimize", "--table", str(path), "--oracle"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid distance table") and "must be symmetric" in err, err
+
+
 def _uniform_table(entry):
     return [[0.0 if i == j else entry for j in range(4)] for i in range(4)]
 
@@ -642,6 +653,20 @@ def test_qphi_amplitudes_file(tmp_path, capsys):
     assert data["big_phi"] == pytest.approx(2.0, abs=1e-12)
 
 
+def test_amplitudes_are_normalized_as_numpy_normalizes_them(tmp_path):
+    # with only entries 0 and 2 non-zero every summation order gives numpy's
+    # norm, so psi / norm must match numpy's complex-by-real division bitwise
+    rng = np.random.default_rng(36)
+    path = tmp_path / "amps.json"
+    for _ in range(200):
+        z = rng.normal(size=2) + 1j * rng.normal(size=2)
+        z *= (1.0 + rng.uniform(-5e-9, 5e-9)) / np.linalg.norm(z)
+        values = [complex(z[0]), 0j, complex(z[1]), 0j]
+        path.write_text(json.dumps([[v.real, v.imag] for v in values]))
+        psi = np.array(values)
+        assert cli._parse_amplitudes(str(path)) == (psi / np.linalg.norm(psi)).tolist()
+
+
 def test_qphi_rejects_unnormalized_amplitudes(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([1.0, 1.0, 0.0, 0.0]))
@@ -673,9 +698,9 @@ def test_qphi_rejects_entangled_amplitudes(tmp_path, capsys):
     assert cli.main(["qphi", "--amplitudes", str(path)]) == 2
 
 
-def _dyadlab_process(code, *argv):
+def _dyadlab_process(code, *argv, cwd=None):
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120, cwd=cwd,
         env={**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])},
     )
 
@@ -728,7 +753,9 @@ def test_package_and_cli_import_loads_no_numpy():
     assert proc.stdout.split() == ["False", "False"]
 
 
-# The commands that run no linear algebra, with the exit code each expects.
+# The commands that run no linear algebra, with the exit code each expects;
+# the files they read are the keys of NUMPY_FREE_FILES.  `optimize --oracle`
+# is not one of them: its lattice search runs on numpy.
 NUMPY_FREE_COMMANDS = [
     (["--help"], 0),
     (["phi", "--state", "10"], 0),
@@ -739,7 +766,18 @@ NUMPY_FREE_COMMANDS = [
     (["distances", "--metric", "kl"], 2),  # KL is undefined on most pairs of Q-shapes
     (["distances", "--points"], 0),
     (["phi", "--state", "2"], 2),
+    (["optimize"], 0),
+    (["optimize", "--table", "table.json"], 0),
+    *((["qphi", "--state", state], 0) for state in ("plus0", "0plus", "10")),
+    (["qphi", "--amplitudes", "amps.json"], 0),
+    (["qphi", "--amplitudes", "bell.json"], 2),  # entangled
 ]
+_BELL = 1.0 / math.sqrt(2.0)
+NUMPY_FREE_FILES = {
+    "table.json": [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]],
+    "amps.json": [[0.7071067811865476, 0], 0, [0.7071067811865476, 0], 0],
+    "bell.json": [_BELL, 0, 0, _BELL],
+}
 # Runs each argv of the JSON list in sys.argv[1] through cli.main in turn and
 # prints a JSON list of [exit code, stdout]; an exception takes the exit code's place.
 _RUN_EACH = """
@@ -761,11 +799,14 @@ print(json.dumps(results))
 
 
 @pytest.fixture(scope="module")
-def numpy_free_runs():
+def numpy_free_runs(tmp_path_factory):
     """[exit code, stdout] of every NUMPY_FREE_COMMANDS entry: run freely, and with numpy blocked."""
+    cwd = tmp_path_factory.mktemp("numpy_free")
+    for name, data in NUMPY_FREE_FILES.items():
+        (cwd / name).write_text(json.dumps(data))
     argvs = json.dumps([argv for argv, _ in NUMPY_FREE_COMMANDS])
-    free = _dyadlab_process(_RUN_EACH, argvs)
-    blocked = _dyadlab_process("import sys; sys.modules['numpy'] = None\n" + _RUN_EACH, argvs)
+    free = _dyadlab_process(_RUN_EACH, argvs, cwd=cwd)
+    blocked = _dyadlab_process("import sys; sys.modules['numpy'] = None\n" + _RUN_EACH, argvs, cwd=cwd)
     assert free.returncode == 0 and blocked.returncode == 0, blocked.stderr
     return json.loads(free.stdout), json.loads(blocked.stdout)
 
@@ -777,8 +818,9 @@ def test_numpy_free_commands_run_with_numpy_blocked(numpy_free_runs, case):
     assert blocked == free
 
 
-# The README commands that run without numpy, with the first 12 hex digits of
-# the sha256 of their stdout, unchanged since they ran on numpy.
+# README and CI commands with the first 12 hex digits of the sha256 of their
+# stdout, unchanged since they ran on numpy.  All but the two oracle runs now
+# run without it.
 README_DIGESTS = [
     (["phi", "--state", "10"], "cbf100b25141"),
     (["phi", "--tpm", "identity", "--state", "00"], "9b1afc9bc9ca"),
@@ -786,6 +828,9 @@ README_DIGESTS = [
     (["qshape", "--state", "10", "--metric", "kl"], "32fd7abe6c0d"),
     (["distances"], "5de72d0df1b5"),
     (["distances", "--metric", "emd"], "5c60f07e1284"),
+    (["optimize"], "cf4fabc447a3"),
+    (["optimize", "--oracle"], "3f8078990981"),
+    (["optimize", "--oracle", "--granularity", "0.5"], "7e3fa53e32d8"),
 ]
 
 

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from dyadlab import model
@@ -107,3 +108,50 @@ def test_tpm_validation():
         Tpm2([0, 1, 2])
     with pytest.raises(ValueError):
         Tpm2([0, 1, 2, 7])
+
+
+def _density_with_smallest_eigenvalue(rng, dim, rank, smallest):
+    """A Hermitian ``dim`` x ``dim`` matrix of trace 1 from ``rank`` random
+    positive eigenvalues, the smallest of its eigenvalues set to ``smallest``."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    w = np.zeros(dim)
+    w[:rank] = rng.random(rank) + 0.05
+    w /= w.sum()
+    w[np.argmin(w)] = smallest
+    w[np.argmax(w)] += 1.0 - w.sum()
+    rho = (q * w) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_positivity_check_agrees_with_eigvalsh_at_the_tolerance(dim):
+    # smallest eigenvalues around -1e-8, the tolerance: each is refused iff
+    # eigvalsh's smallest eigenvalue is below it
+    rng = np.random.default_rng(36)
+    cases = {-1.2e-8: False, -1e-8 - 1e-14: False, -1e-8 + 1e-14: True, -0.8e-8: True, 0.0: True,
+             -1e-6: False}
+    for rank in range(1, dim + 1):
+        for smallest, accepted in cases.items():
+            for n in range(60):
+                rho = _density_with_smallest_eigenvalue(rng, dim, rank, smallest)
+                if n % 2:
+                    # Hermitian within 1e-10 but not exactly: eigvalsh reads the
+                    # lower triangle, and so must the check
+                    noise = rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
+                    rho = rho + np.triu(noise, 1) * 2e-11
+                assert bool(np.linalg.eigvalsh(rho).min() >= -1e-8) is accepted  # the oracle
+                try:
+                    model.validate_density_matrix(rho, dim=dim)
+                except ValueError as exc:
+                    assert not accepted and "negative eigenvalue" in str(exc), (rank, smallest)
+                else:
+                    assert accepted, (rank, smallest, rho.tolist())
+
+
+def test_density_matrix_check_takes_nested_sequences_and_returns_complex_rows():
+    rows = model.validate_density_matrix([[0.75, 0.25j], [-0.25j, 0.25]], dim=2)
+    assert rows == [[0.75, 0.25j], [-0.25j, 0.25]]
+    assert all(type(v) is complex for row in rows for v in row)
+    for bad in (0.5, [0.5, 0.5], [[1.0, 0.0], [0.0]], [[[1.0]]]):
+        with pytest.raises(ValueError, match="must be 2x2"):
+            model.validate_density_matrix(bad, dim=2)

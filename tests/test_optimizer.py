@@ -43,6 +43,55 @@ def _scalar_feasible(values, table):
     )
 
 
+def _numpy_feasible(points, table):
+    """Row mask of the ``(n, 4)`` points that meet the rule, written as numpy
+    array operations: the reference for the plain-Python rule."""
+    tol = optimizer.TOLERANCE
+    mask = np.all(np.isfinite(points) & (points >= -tol), axis=1)
+    with np.errstate(invalid="ignore"):  # the gap of two infinite values is NaN
+        for i, j in itertools.combinations(range(4), 2):
+            mask &= np.abs(points[:, i] - points[:, j]) >= table[i, j] - tol
+    return mask
+
+
+def _numpy_collect(points):
+    """(minimizers, optimal sum) of the ``(n, 4)`` feasible points, from numpy's
+    row sums and ``np.round(near, 9)`` keys: the reference for ``_collect``."""
+    if not len(points):
+        raise InfeasibleTable("no feasible point")
+    sums = points.sum(axis=1)
+    best = sums.min()
+    near = points[sums <= best + optimizer.TOLERANCE]
+    seen = dict(zip(map(tuple, np.round(near, 9).tolist()), map(tuple, near.tolist())))
+    return tuple(EigenAssignment.from_values(p) for p in sorted(seen.values())), float(best)
+
+
+def _numpy_solve(table):
+    """``solve`` over numpy arrays: greedy completions of the 24 orderings."""
+    table = np.asarray(table, dtype=float)
+    placed = np.where(table <= optimizer.TOLERANCE, 0.0, table)
+    points = []
+    for order in itertools.permutations(range(4)):
+        values = [0.0] * 4
+        for pos in range(1, 4):
+            i = order[pos]
+            values[i] = max([values[order[pos - 1]]] + [values[j] + placed[i, j] for j in order[:pos]])
+        points.append(values)
+    points = np.array(points)
+    return _numpy_collect(points[_numpy_feasible(points, table)])
+
+
+def _numpy_grid_oracle(table, granularity):
+    """``grid_oracle`` at its default bound over numpy arrays, every feasible
+    lattice point handed to the reference ``_collect``."""
+    table = np.asarray(table, dtype=float)
+    axis = np.arange(0.0, 3.0 * table.max() + granularity / 2, granularity)
+    free = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    grids = [np.insert(free, pinned, 0.0, axis=1) for pinned in range(4)]
+    kept = np.concatenate([grid[_numpy_feasible(grid, table)] for grid in grids])
+    return _numpy_collect(np.unique(kept, axis=0))
+
+
 def _assert_feasible_cases(cases, table):
     for values, expected in cases:
         assert optimizer.feasible(_ea(*values), table) is expected, values
@@ -61,11 +110,15 @@ def test_feasible_frozen_examples():
     edge = 2.0 - optimizer.TOLERANCE
     short = np.nextafter(edge, 0.0)
     _assert_feasible_cases([((0, edge, 0, 0), True), ((0, short, 0, 0), False)], gap_table)
-    # the array rule agrees with the scalar one on every row of a batch
+    # the rule agrees with the scalar one on every row of a batch, given the
+    # four coordinate columns as arrays and given each row as four floats
     values = [0.0, edge, short, 2.0, -optimizer.TOLERANCE, -1.0, np.nan, np.inf]
     points = np.random.default_rng(0).choice(values, size=(500, 4))
-    mask = optimizer._feasible(points, gap_table)
-    assert mask.tolist() == [_scalar_feasible(p, gap_table) for p in points.tolist()]
+    expected = [_scalar_feasible(p, gap_table) for p in points.tolist()]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which no rule accepts
+        mask = optimizer._feasible(points.T, gap_table)
+    assert mask.tolist() == expected
+    assert [optimizer._feasible(p, gap_table) for p in points.tolist()] == expected
     assert 0 < mask.sum() < len(mask)
 
 
@@ -274,6 +327,59 @@ def test_table_validation():
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
         optimizer.validate_table(bad)  # asymmetric
+
+
+def test_table_validation_refuses_asymmetry_beyond_tolerance():
+    # numpy's allclose added a relative 1e-5 to TOLERANCE, so this table
+    # passed, and solve, solve of its transpose and grid_oracle then found
+    # 8, 4 and 12 minimizers
+    far = SWAP_TABLE.copy()
+    far[1, 0] = 2.00001
+    for check in (optimizer.validate_table, optimizer.solve, optimizer.grid_oracle):
+        with pytest.raises(ValueError, match="symmetric"):
+            check(far)
+    near = SWAP_TABLE.copy()
+    near[1, 0] = 2.0 + optimizer.TOLERANCE / 2
+    assert optimizer.validate_table(near)[1] == (near[1, 0], 0.0, 4.0, 2.0)
+
+
+def _random_upper(rng, step):
+    """Six entries in [0, 4]: multiples of ``step``, or uniform when it is None."""
+    if step is None:
+        return rng.uniform(0.0, 4.0, size=6)
+    return rng.integers(0, round(4.0 / step) + 1, size=6) * step
+
+
+@pytest.mark.parametrize("step", [1.0, 0.5, 0.1, 1e-3, None])
+def test_solve_and_grid_oracle_equal_the_numpy_reference(step):
+    rng = np.random.default_rng(36)
+    for n in range(200):
+        table = table_from_upper(_random_upper(rng, step))
+        result = optimizer.solve(table)
+        assert (result.minimizers, result.optimal_sum) == _numpy_solve(table), table
+        # the lattice search on every 8th table; on every 40th also at 0.5 and,
+        # on the table scaled into [0, 1], at 0.1, whose inexact sums tie within TOLERANCE
+        lattices = [(table, 1.0), (table, 0.5), (table / 4.0, 0.1)]
+        for scaled, granularity in lattices[: (n % 8 == 0) + 2 * (n % 40 == 0)]:
+            try:
+                expected = _numpy_grid_oracle(scaled, granularity)
+            except InfeasibleTable:  # the lattice is too coarse for the table
+                with pytest.raises(InfeasibleTable):
+                    optimizer.grid_oracle(scaled, granularity=granularity)
+                continue
+            oracle = optimizer.grid_oracle(scaled, granularity=granularity)
+            assert (oracle.minimizers, oracle.optimal_sum) == expected, (scaled, granularity)
+
+
+def test_collect_equals_the_numpy_reference_on_near_ties():
+    # points a few 1e-10 apart: sums within TOLERANCE of the least, and
+    # coordinates whose 9-digit roundings part and meet
+    rng = np.random.default_rng(36)
+    for _ in range(300):
+        base = np.round(rng.uniform(0.0, 4.0, size=4), 3)
+        points = base + rng.integers(-6, 7, size=(40, 4)) * 3e-10
+        result = optimizer._collect(points.tolist())
+        assert (result.minimizers, result.optimal_sum) == _numpy_collect(points)
 
 
 def test_eigen_assignment_round_trip():

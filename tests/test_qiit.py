@@ -213,6 +213,29 @@ def test_closed_form_matches_spectral_qid_on_random_product_states(rng):
             assert abs(report.phi_b - spectral_qid(parts[1], MM2)) <= 1e-14
 
 
+def _numpy_unit_phis(rho):
+    """(phi_A, phi_B) from numpy's reductions of ``rho``: ``einsum`` partial
+    traces, the ``kron`` residual and the closed form on ndarray marginals."""
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    m_a, m_b = np.einsum("abcb->ac", r), np.einsum("abad->bd", r)
+    assert np.max(np.abs(r.reshape(4, 4) - np.kron(m_a, m_b))) <= 1e-10
+    phis = []
+    for m in (m_a, m_b):
+        p = (1.0 + math.hypot(m[0, 0].real - m[1, 1].real, 2.0 * abs(m[0, 1]))) / 2.0
+        phis.append(p * (math.log2(p) + 1.0))
+    return tuple(phis)
+
+
+def test_quantum_big_phi_equals_the_numpy_reductions_bitwise(rng):
+    for mixed in (False, True):
+        for _ in range(500):
+            rho = np.kron(*_random_product_parts(rng, mixed))
+            expected = _numpy_unit_phis(rho)
+            for state in (rho, rho.tolist()):
+                report = qiit.quantum_big_phi(state)
+                assert (report.phi_a, report.phi_b) == expected
+
+
 def test_report_json_field_names():
     data = qiit.quantum_big_phi(PLUS0).to_json()
     assert set(data) == {"phi_A", "phi_B", "phi_AB", "big_phi"}
