@@ -377,8 +377,11 @@ def _parse_amplitudes(path: str) -> list[complex]:
     for i, v in enumerate(values):
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise UsageError(f"amplitude {i} is not finite: {v}")
-    # np.linalg.norm's formula; a norm past the float range is inf, refused below
-    norm = math.sqrt(sum(v.real * v.real for v in values) + sum(v.imag * v.imag for v in values))
+    # np.linalg.norm's sqrt(re . re + im . im), each dot paired as OpenBLAS's
+    # x86-64 kernel pairs four strided entries; an overflow is inf, refused below
+    re = [v.real * v.real for v in values]
+    im = [v.imag * v.imag for v in values]
+    norm = math.sqrt(((re[0] + re[2]) + (re[1] + re[3])) + ((im[0] + im[2]) + (im[1] + im[3])))
     if abs(norm - 1.0) > 1e-8:
         raise UsageError(f"amplitudes are not normalized (norm {norm:.6f})")
     # numpy divides a complex array by a real scalar through its reciprocal

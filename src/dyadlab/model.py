@@ -120,7 +120,10 @@ def validate_density_matrix(rho, dim: int = 4) -> list[list[complex]]:
     drift = max(abs(rows[i][k] - rows[k][i].conjugate()) for i in range(dim) for k in range(i, dim))
     if not drift <= _DENSITY_ATOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if not abs(sum(rows[i][i] for i in range(dim)) - 1.0) <= _DENSITY_ATOL:
+    trace = 0j
+    for i in range(dim):  # left to right, as np.trace, on every Python version
+        trace += rows[i][i]
+    if not abs(trace - 1.0) <= _DENSITY_ATOL:
         raise ValueError("density matrix trace is not 1 within tolerance")
     if not _positive_semidefinite(rows, _PSD_ATOL):
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")

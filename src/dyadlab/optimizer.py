@@ -175,12 +175,13 @@ def _collect(points) -> OptimizationResult:
     those of least sum, one for each 9-digit rounding (the last one given),
     sorted.
 
-    Sums add the coordinates left to right, as numpy's row sum does, and
+    Sums add the coordinates left to right, as numpy's row sum does (the
+    builtin ``sum`` compensates float rounding from Python 3.12 on), and
     ``round(v * 1e9) / 1e9`` is ``np.round(v, 9)`` bit for bit.
     """
     if not points:
         raise InfeasibleTable("no assignment satisfies the gap constraints")
-    sums = [sum(p) for p in points]
+    sums = [p[0] + p[1] + p[2] + p[3] for p in points]
     best = min(sums)
     seen = {
         tuple(round(v * 1e9) / 1e9 for v in p): tuple(p)

@@ -257,15 +257,9 @@ def _time_grid(
 
 
 def _superoperator(x: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> [x, rho] acting on the row-major ``rho.reshape(16)``.
-
-    That is ``kron(x, I) - kron(I, x.T)``, formed as np.kron forms it (entry
-    ``(4i + j, 4k + l)`` of ``kron(a, b)`` is the product ``a[i, k] * b[j, l]``)
-    but as two broadcast products, without np.kron's per-call overhead.
-    """
+    """Matrix of rho -> [x, rho] acting on the row-major ``rho.reshape(16)``."""
     eye = np.eye(DIM)
-    ad = x[:, None, :, None] * eye[None, :, None, :] - eye[:, None, :, None] * x.T[None, :, None, :]
-    return ad.reshape(DIM * DIM, DIM * DIM)
+    return np.kron(x, eye) - np.kron(eye, x.T)
 
 
 def _rk4_step_increment(h: np.ndarray, a: np.ndarray, lam: float, dt: float) -> np.ndarray:

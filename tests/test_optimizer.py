@@ -382,6 +382,15 @@ def test_collect_equals_the_numpy_reference_on_near_ties():
         assert (result.minimizers, result.optimal_sum) == _numpy_collect(points)
 
 
+def test_collect_adds_coordinates_left_to_right():
+    # as numpy's row sum does; the builtin sum rounds 0.1 + 0.2 + 0.3 to 0.6
+    # from Python 3.12 on, where numpy's sum is 0.6000000000000001
+    points = [(0.1, 0.2, 0.3, 0.0)]
+    result = optimizer._collect(points)
+    assert result.optimal_sum == 0.6000000000000001
+    assert (result.minimizers, result.optimal_sum) == _numpy_collect(np.array(points))
+
+
 def test_eigen_assignment_round_trip():
     m = _ea(2, 0, 4, 6)
     assert m.as_tuple() == (2.0, 0.0, 4.0, 6.0)
