@@ -256,10 +256,17 @@ def _time_grid(
     return n_steps, steps, snapped * dt
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two ``DIM`` x ``DIM`` matrices, as one broadcast
+    product without np.kron's general set-up, most of its cost at this size:
+    entry ``(DIM i + j, DIM k + l)`` is ``a[i, k] * b[j, l]``."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(DIM * DIM, DIM * DIM)
+
+
 def _superoperator(x: np.ndarray) -> np.ndarray:
     """Matrix of rho -> [x, rho] acting on the row-major ``rho.reshape(16)``."""
     eye = np.eye(DIM)
-    return np.kron(x, eye) - np.kron(eye, x.T)
+    return _kron(x, eye) - _kron(eye, x.T)
 
 
 def _rk4_step_increment(h: np.ndarray, a: np.ndarray, lam: float, dt: float) -> np.ndarray:

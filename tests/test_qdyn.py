@@ -148,6 +148,17 @@ def test_lindblad_with_hamiltonian_keeps_invariants():
     qdyn.validate_density_matrix(rho)
 
 
+def test_superoperator_is_the_kron_formula_bitwise(rng):
+    eye = np.eye(4)
+    for x in [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(50)] + [
+        np.diag(A_REF).astype(float),
+        qdyn.swap_hamiltonian(),
+    ]:
+        expected = np.kron(x, eye) - np.kron(eye, x.T)
+        got = qdyn._superoperator(x)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 def _rk4_reference(rho, h, a, lam, dt, n_steps):
     """Classical RK4, one step at a time, on the master equation."""
     a_mat = np.diag(np.asarray(a, dtype=complex))
