@@ -840,6 +840,33 @@ def test_numpy_free_readme_commands_print_frozen_bytes(capsys, argv, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:12] == digest
 
 
+# The README and CI simulate commands, digested as above.  Each printed the
+# same bytes with numpy's AVX-512 dispatch off (NPY_DISABLE_CPU_FEATURES=
+# "X86_V4 AVX512_ICL AVX512_SPR") and under OPENBLAS_CORETYPE Prescott,
+# Sandybridge and Haswell.  The README's `simulate sde --format csv` run is
+# left out: its bytes follow numpy's exp dispatch, d443bb8b82a8 by default
+# and 9f7be054ab50 with AVX-512 off.
+README_SIMULATE_DIGESTS = [
+    (["simulate", "lindblad", "--pair", "00", "01", "--eigenvalues", "2,0,4,6", "--t", "1",
+      "--dt", "1e-4"], "9cb05df22809"),
+    (["simulate", "lindblad", "--initial", "uniform", "--t", "1", "--format", "csv",
+      "--samples", "101"], "fc29921df732"),
+    (["simulate", "sde", "--trajectories", "10000", "--seed", "0", "--t", "6", "--dt", "1e-3",
+      "--pair", "00", "01", "--eigenvalues", "2,0,4,6"], "a04a039d2699"),
+    # CI's byte-identity run
+    (["simulate", "sde", "--trajectories", "2000", "--t", "1", "--dt", "1e-3", "--pair", "00",
+      "01", "--eigenvalues", "2,0,4,6", "--ensemble-average"], "7eefc54b25b9"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", README_SIMULATE_DIGESTS, ids=["lindblad_json", "lindblad_csv", "sde", "sde_average"]
+)
+def test_readme_simulate_commands_print_frozen_bytes(capsys, argv, digest):
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:12] == digest
+
+
 def test_optimize_loads_neither_qdyn_nor_qiit():
     proc = _dyadlab_process(
         "import sys; from dyadlab.cli import main\n"
