@@ -16,9 +16,10 @@ to ``--output``.  If the environment variable ``DYADLAB_OUT_DIR`` is set,
 relative ``--output`` paths are resolved inside that directory.
 
 Each handler imports the modules it uses, so ``phi``, ``qshape``,
-``distances``, ``optimize`` without ``--oracle``, ``qphi`` and argument
-errors run without importing numpy, and only ``optimize`` imports the
-optimizer.
+``distances``, ``optimize`` without ``--oracle``, ``qphi`` and the argument
+errors argparse reports run without importing numpy; ``simulate`` imports it
+before its own checks (``--samples 0``, ``--eigenvalues``, ``--pair``,
+``--trajectories``).  Only ``optimize`` imports the optimizer.
 """
 
 from __future__ import annotations
@@ -71,11 +72,6 @@ def _read_json(path: str, what: str, parse):
     # malformed, non-UTF-8 or too deeply nested JSON, or a value ``parse`` refuses
     except (ValueError, TypeError, IndexError, OverflowError, RecursionError) as exc:
         raise UsageError(f"invalid {what} in {path!r}: {exc}")
-
-
-def _is_number(value) -> bool:
-    """True for a JSON number; ``bool`` subclasses ``int`` but is not one."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _parse_tpm(text: str) -> model.Tpm2:
@@ -188,24 +184,12 @@ def cmd_distances(args) -> str:
     return _json_text(payload)
 
 
-def _parse_table(data) -> tuple:
-    from . import optimizer
-
-    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
-        raise ValueError("distance table must be a JSON list of rows")
-    for i, row in enumerate(data):
-        for j, v in enumerate(row):
-            if not _is_number(v):
-                raise ValueError(f"entry ({i}, {j}) is not a number: {v!r}")
-    return optimizer.validate_table(data)
-
-
 def _load_table(path: str | None) -> tuple:
     from . import optimizer
 
     if path is None:
         return optimizer.SWAP_ROWS
-    return _read_json(path, "distance table", _parse_table)
+    return _read_json(path, "distance table", optimizer.validate_table)
 
 
 def cmd_optimize(args) -> str:
@@ -229,16 +213,14 @@ def cmd_optimize(args) -> str:
 def _initial_pure_state(args) -> np.ndarray:
     import numpy as np
 
-    from . import qdyn
-
     if args.pair is not None:
         i, k = (_parse_state(p).index for p in args.pair)
         if i == k:
             raise UsageError("--pair needs two distinct states")
-        return qdyn.basis_superposition(i, k)
-    if args.initial == "uniform":
-        return np.ones(4, dtype=complex) / 2.0
-    return qdyn.prepare_dyad_superposition()  # plus0, also when --initial is absent
+        amplitudes = model.pair_state(i, k)
+    else:
+        amplitudes = model.NAMED_STATES[args.initial or "plus0"]
+    return np.array(amplitudes, dtype=complex)
 
 
 def _simulation_inputs(args) -> tuple[np.ndarray, np.ndarray]:
@@ -273,8 +255,6 @@ def cmd_simulate_lindblad(args) -> str:
 
     a, psi0 = _simulation_inputs(args)
     rho0 = np.outer(psi0, psi0.conj())
-    if args.t < 0:
-        raise UsageError("--t must be non-negative")
     if args.format == "csv":
         sample_times = _csv_sample_times(args.t, args.dt, args.samples)
     else:
@@ -364,7 +344,7 @@ def _amplitude_values(data) -> list[complex]:
     values = []
     for i, v in enumerate(data):
         parts = v if isinstance(v, list) and len(v) == 2 else [v]
-        if not all(_is_number(p) for p in parts):
+        if not all(map(model.is_number, parts)):
             raise ValueError(f"amplitude {i} is not a number or an [re, im] pair of numbers: {v!r}")
         values.append(complex(*parts))
     return values
@@ -397,14 +377,9 @@ def cmd_qphi(args) -> str:
         label = "custom"
     else:
         label = args.state
-        s = 1.0 / math.sqrt(2.0)
-        if label == "plus0":  # (|00> + |10>)/sqrt(2), as qdyn.prepare_dyad_superposition
-            psi = [s, 0.0, s, 0.0]
-        elif label == "0plus":
-            psi = [s, s, 0.0, 0.0]
-        else:
-            psi = [0.0] * 4
-            psi[_parse_state(label).index] = 1.0
+        if label not in ("plus0", "0plus"):
+            _parse_state(label)  # a basis state, or a UsageError
+        psi = model.NAMED_STATES[label]
     rho = [[p * q.conjugate() for q in psi] for p in psi]
     report = qiit.quantum_big_phi(rho)
     return _json_text({"state": label, **report.to_json()})

@@ -91,10 +91,33 @@ def _state_index(value, entry: int) -> int:
     return index
 
 
+def is_number(value) -> bool:
+    """True for an ``int`` or a ``float``, as a JSON number reads; ``bool``
+    subclasses ``int`` but is not one, and a string that spells one is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 ALL_STATES = tuple(DyadState.from_index(i) for i in range(4))
 STATE_LABELS = tuple(s.label for s in ALL_STATES)
 # Index pairs (i, k), i < k, of the six entries above a density matrix's diagonal.
 COHERENCE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def pair_state(i: int, k: int) -> tuple:
+    """Amplitudes of ``(|i> + |k>)/sqrt(2)`` for two distinct state indices."""
+    if i == k or i not in range(4) or k not in range(4):
+        raise ValueError("need two distinct basis indices in 0..3")
+    return tuple(1.0 / math.sqrt(2.0) if n in (i, k) else 0.0 for n in range(4))
+
+
+# Named pure states as four real amplitudes: the basis states by label,
+# plus0 = (|00> + |10>)/sqrt(2) (A balanced, B in 0), 0plus and uniform.
+NAMED_STATES = {
+    **{label: tuple(float(n == i) for n in range(4)) for i, label in enumerate(STATE_LABELS)},
+    "plus0": pair_state(0, 2),
+    "0plus": pair_state(0, 1),
+    "uniform": (0.5, 0.5, 0.5, 0.5),
+}
 
 # Hermiticity and trace of a density matrix hold within _DENSITY_ATOL, and
 # none of its eigenvalues lies below -_PSD_ATOL.

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InfeasibleTable
+from .model import is_number
 
 TOLERANCE = 1e-9
 # Largest lattice grid_oracle builds, (bound/g + 1)^3 points (6 MB of
@@ -106,14 +107,19 @@ class OptimizationResult:
 
 
 def validate_table(table) -> tuple:
-    """``table`` (nested sequences or an ndarray) as four 4-tuples of floats,
-    if it is a distance table; ValueError otherwise."""
-    # an ndarray lists its entries at C speed, and as Python floats
+    """``table`` (a list or tuple of rows, or an ndarray) as four 4-tuples of
+    floats, if it is a distance table of numbers (:func:`model.is_number`, so
+    not strings or bools); ValueError otherwise."""
+    # an ndarray lists its entries at C speed, and as Python numbers
     entries = table.tolist() if hasattr(table, "tolist") else table
-    try:
-        rows = tuple(tuple(map(float, row)) for row in entries)
-    except TypeError:  # a scalar, or a row or entry that is not a number
-        rows = ()
+    sequence = (list, tuple)
+    if not (isinstance(entries, sequence) and all(isinstance(row, sequence) for row in entries)):
+        raise ValueError("distance table must be a JSON list of rows")
+    for i, row in enumerate(entries):
+        for j, v in enumerate(row):
+            if not is_number(v):
+                raise ValueError(f"entry ({i}, {j}) is not a number: {v!r}")
+    rows = tuple(tuple(map(float, row)) for row in entries)
     if len(rows) != 4 or any(len(row) != 4 for row in rows):
         raise ValueError("distance table must be 4x4")
     values = [v for row in rows for v in row]
@@ -152,11 +158,10 @@ def _feasible(columns, table):
 
 
 def pairwise_rate_sum(assignment: EigenAssignment) -> float:
-    """Sum of |lambda_i - lambda_j| over the six unordered pairs."""
-    values = assignment.as_tuple()
-    return float(
-        sum(abs(values[i] - values[j]) for i in range(4) for j in range(i + 1, 4))
-    )
+    """Sum of |lambda_i - lambda_j| over the six unordered pairs, added left to
+    right as in :func:`_collect`."""
+    a, b, c, d = assignment
+    return float(abs(a - b) + abs(a - c) + abs(a - d) + abs(b - c) + abs(b - d) + abs(c - d))
 
 
 def _greedy_completion(order, table) -> tuple:

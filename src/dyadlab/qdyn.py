@@ -77,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, StepTooLarge
-from .model import COHERENCE_PAIRS, validate_density_matrix
+from .model import COHERENCE_PAIRS, NAMED_STATES, pair_state, validate_density_matrix
 from .model import swap as _swap_rule
 
 DIM = 4
@@ -138,16 +138,12 @@ def coherence_decay_rate(a, lam: float, i: int, k: int) -> float:
 
 def prepare_dyad_superposition() -> np.ndarray:
     """(|00> + |10>)/sqrt(2): channel A in the balanced state, B in 0."""
-    return np.array([1.0, 0.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+    return np.array(NAMED_STATES["plus0"], dtype=complex)
 
 
 def basis_superposition(i: int, k: int) -> np.ndarray:
     """Equal-weight superposition of two computational basis states."""
-    if i == k or not (0 <= i < DIM and 0 <= k < DIM):
-        raise ValueError("need two distinct basis indices in 0..3")
-    psi = np.zeros(DIM, dtype=complex)
-    psi[i] = psi[k] = 1.0 / math.sqrt(2.0)
-    return psi
+    return np.array(pair_state(i, k), dtype=complex)
 
 
 def swap_hamiltonian() -> np.ndarray:
@@ -256,31 +252,28 @@ def _time_grid(
     return n_steps, steps, snapped * dt
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` of two ``DIM`` x ``DIM`` matrices, as one broadcast
-    product without np.kron's general set-up, most of its cost at this size:
-    entry ``(DIM i + j, DIM k + l)`` is ``a[i, k] * b[j, l]``."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(DIM * DIM, DIM * DIM)
-
-
-def _superoperator(x: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> [x, rho] acting on the row-major ``rho.reshape(16)``."""
-    eye = np.eye(DIM)
-    return _kron(x, eye) - _kron(eye, x.T)
+def _generator(h: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
+    """Matrix ``L`` of ``-i[H, rho] - (lam/2)[A, [A, rho]]`` on the row-major
+    ``rho.reshape(16)``, entry by entry: entry ``(DIM i + k, DIM j + l)`` of
+    the commutator is ``H_ij delta_kl - delta_ij H_lk`` (one broadcast over
+    the axes ``(i, k, j, l)``), and a diagonal ``A`` makes the double
+    commutator the diagonal ``(a_i - a_k)^2``."""
+    eye, n = np.eye(DIM), DIM * DIM
+    commutator = h[:, None, :, None] * eye[None, :, None, :] - eye[:, None, :, None] * h.T[None, :, None, :]
+    gap = (a[:, None] - a[None, :]).reshape(n)
+    return -0.5 * lam * np.diag(gap * gap) - 1j * commutator.reshape(n, n)
 
 
 def _rk4_step_increment(h: np.ndarray, a: np.ndarray, lam: float, dt: float) -> np.ndarray:
-    """``S = T - I`` for the RK4 step ``T = sum_{k<=4} (dt L)^k / k!``.
+    """``S = T - I`` for the RK4 step ``T = sum_{k<=4} (dt L)^k / k!``, with
+    ``L`` from :func:`_generator`.
 
-    ``L`` is the generator of the master equation on the row-major
-    ``rho.reshape(16)``.  Raises ``StepTooLarge`` when the spectral radius of
-    ``T`` exceeds 1 by more than round-off: repeated steps would then amplify
-    some mode of rho.
+    Raises ``StepTooLarge`` when the spectral radius of ``T`` exceeds 1 by
+    more than round-off: repeated steps would then amplify some mode of rho.
     """
-    ad_a = _superoperator(np.diag(a))
     eye = np.eye(DIM * DIM)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as radius inf
-        m = dt * (-0.5 * lam * (ad_a @ ad_a) - 1j * _superoperator(h))
+        m = dt * _generator(h, a, lam)
         inc = m @ (eye + m @ (eye + m @ (eye + m / 4.0) / 3.0) / 2.0)
     radius = np.inf
     if np.all(np.isfinite(inc)):

@@ -867,6 +867,24 @@ def test_readme_simulate_commands_print_frozen_bytes(capsys, argv, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:12] == digest
 
 
+def test_optimize_table_prints_rate_sums_added_left_to_right(tmp_path):
+    # Python 3.12's builtin sum rounded this table's rate sum to 21.400000000000002
+    path = tmp_path / "table.json"
+    path.write_text("[[0, 3.6, 1.8, 2.6], [3.6, 0, 0.8, 4.5], [1.8, 0.8, 0, 1.6], [2.6, 4.5, 1.6, 0]]")
+    code, out, err = _main_in_process(["optimize", "--table", str(path)])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    _validate("optimize", data)
+    assert data["minimizers"] == [[3.6, 0.0, 0.8, 6.2]] and data["pairwise_rate_sums"] == [21.4]
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "5c32aa6815cc"
+
+
+@pytest.mark.parametrize("argv", [["lindblad"], ["lindblad", "--format", "csv"], ["sde"]])
+def test_negative_duration_is_refused_by_the_step_count(argv):
+    code, out, err = _main_in_process(["simulate", *argv, "--t", "-1"])
+    assert (code, out, err) == (2, "", "error: duration must be finite and non-negative\n")
+
+
 def test_optimize_loads_neither_qdyn_nor_qiit():
     proc = _dyadlab_process(
         "import sys; from dyadlab.cli import main\n"

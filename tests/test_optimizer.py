@@ -190,6 +190,36 @@ def test_pairwise_rate_sum_frozen_values():
     assert optimizer.pairwise_rate_sum(_ea(2, 0, 6, 4)) == pytest.approx(20.0, abs=ATOL)
 
 
+def test_pairwise_rate_sum_adds_left_to_right():
+    # the six gaps add to 21.4 left to right; rounded once, as the builtin sum
+    # of Python 3.12 and later rounds them, they give 21.400000000000002
+    values = (3.6, 0.0, 0.8, 6.2)
+    gaps = [abs(x - y) for x, y in itertools.combinations(values, 2)]
+    assert optimizer.pairwise_rate_sum(_ea(*values)) == 21.4
+    assert math.fsum(gaps) == 21.400000000000002
+
+
+@pytest.mark.parametrize("odd", ["2", True, None, {}, [2.0], 2j])
+def test_table_entries_must_be_numbers(odd):
+    # a string that spells a number, or a bool, is refused, not read as one
+    table = [list(row) for row in optimizer.SWAP_ROWS]
+    table[0][1] = table[1][0] = odd
+    for check in (optimizer.validate_table, optimizer.solve, optimizer.grid_oracle):
+        with pytest.raises(ValueError, match=r"entry \(0, 1\) is not a number"):
+            check(table)
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) is not a number"):
+        optimizer.feasible(_ea(0, 2, 6, 4), table)
+    for rows in ("table", {"a": 1}, [(0.0, 2.0)] * 3 + ["rows"], 2.0):
+        with pytest.raises(ValueError, match="list of rows"):
+            optimizer.validate_table(rows)
+
+
+def test_table_rows_may_be_tuples_lists_or_an_ndarray():
+    as_lists = [list(row) for row in optimizer.SWAP_ROWS]
+    for table in (optimizer.SWAP_ROWS, as_lists, SWAP_TABLE, SWAP_TABLE.astype(int)):
+        assert optimizer.validate_table(table) == optimizer.SWAP_ROWS
+
+
 def test_minimizers_share_pairwise_rate_sum_twenty():
     result = optimizer.solve(SWAP_TABLE)
     assert all(v == pytest.approx(20.0, abs=ATOL) for v in result.pairwise_rate_sums)

@@ -57,6 +57,28 @@ def test_prepare_dyad_superposition():
     assert psi == pytest.approx(np.array([1, 0, 1, 0]) / math.sqrt(2.0))
 
 
+def test_named_states_are_the_arrays_they_replaced_bitwise():
+    # the arrays qdyn and the CLI built before model held the named states
+    def as_array(amplitudes):
+        return np.array(amplitudes, dtype=complex)
+
+    plus0 = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+    assert as_array(model.NAMED_STATES["plus0"]).tobytes() == plus0.tobytes()
+    assert qdyn.prepare_dyad_superposition().tobytes() == plus0.tobytes()
+    uniform = np.ones(4, dtype=complex) / 2.0
+    assert as_array(model.NAMED_STATES["uniform"]).tobytes() == uniform.tobytes()
+    for i, k in itertools.permutations(range(4), 2):
+        pair = np.zeros(4, dtype=complex)
+        pair[i] = pair[k] = 1.0 / math.sqrt(2.0)
+        assert qdyn.basis_superposition(i, k).tobytes() == pair.tobytes()
+    assert model.NAMED_STATES["0plus"] == model.pair_state(0, 1)
+    for i, label in enumerate(model.STATE_LABELS):
+        assert model.NAMED_STATES[label] == tuple(np.eye(4)[i].tolist())
+    for i, k in [(1, 1), (0, 4), (-1, 2)]:
+        with pytest.raises(ValueError, match="two distinct basis indices"):
+            qdyn.basis_superposition(i, k)
+
+
 def test_swap_hamiltonian_generates_the_swap_gate():
     from scipy.linalg import expm
 
@@ -149,14 +171,22 @@ def test_lindblad_with_hamiltonian_keeps_invariants():
 
 
 def test_superoperator_is_the_kron_formula_bitwise(rng):
+    # _generator writes the master equation's matrix entry by entry; the
+    # reference builds it from np.kron, where X (x) I - I (x) X^T is the matrix
+    # of rho -> [X, rho] on the row-major rho.reshape(16)
     eye = np.eye(4)
-    for x in [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(50)] + [
-        np.diag(A_REF).astype(float),
-        qdyn.swap_hamiltonian(),
-    ]:
-        expected = np.kron(x, eye) - np.kron(eye, x.T)
-        got = qdyn._superoperator(x)
-        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def ad(x):
+        return np.kron(x, eye) - np.kron(eye, x.T)
+
+    hamiltonians = [np.zeros((4, 4), dtype=complex), qdyn.swap_hamiltonian().astype(complex)]
+    hamiltonians += [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(50)]
+    for h in hamiltonians:
+        for a, lam in [(np.array(A_REF), 1.0), (rng.uniform(0.0, 10.0, size=4), 0.37), (np.zeros(4), 0.0)]:
+            ad_a = ad(np.diag(a))
+            expected = -0.5 * lam * (ad_a @ ad_a) - 1j * ad(h)
+            got = qdyn._generator(h, a, lam)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def _rk4_reference(rho, h, a, lam, dt, n_steps):
@@ -595,6 +625,58 @@ def test_sde_kernel_matches_complex_reference_bitwise(state, with_h, lam, monkey
         if first is None:
             first = head
         assert head.tobytes() == first[:n].tobytes()
+
+
+def _exact_reference(psi0, a, lam, dt, n_steps, sample_steps, key, threshold):
+    """One member of an ``H = None`` ensemble from the sampler's documented
+    contract alone, in plain Python: ``(states at sample_steps, outcome)``.
+
+    The stream ``Philox(key=key)`` gives one uniform, which picks ``j`` with
+    Born weight ``|psi0_j|^2``, then one normal per positive step of the grid
+    (the sample steps and the last), whose running sum, each scaled by the
+    square root of its time since the one before, is ``W`` there.  At time
+    ``t``, ``psi_k`` is proportional to ``psi0_k exp(D_k (sqrt(lam) W - lam t D_k))``
+    with ``D_k = a_k - a_j``.  The outcome is the label whose population at the
+    last step reaches ``threshold``, else None.
+    """
+    gen = np.random.Generator(np.random.Philox(key=key))
+    u = gen.random()
+    born = list(itertools.accumulate(abs(c) ** 2 for c in psi0))
+    j = next(m for m in range(4) if born[m] > u * born[-1])
+    steps = sorted({s for s in sample_steps if s > 0} | {n_steps})
+    w, previous, states = 0.0, 0, {0: [complex(c) for c in psi0]}
+    for step, z in zip(steps, gen.standard_normal(len(steps)).tolist()):
+        w += z * math.sqrt((step - previous) * dt)
+        previous, t = step, step * dt
+        exponents = {k: (a[k] - a[j]) * (math.sqrt(lam) * w - lam * t * (a[k] - a[j]))
+                     for k in range(4) if psi0[k] != 0}
+        top = max(exponents.values())
+        psi = [complex(psi0[k]) * math.exp(exponents[k] - top) if k in exponents else 0j
+               for k in range(4)]
+        norm = math.sqrt(sum(abs(c) ** 2 for c in psi))
+        states[step] = [c / norm for c in psi]
+    pops = [abs(c) ** 2 for c in states[n_steps]]
+    winner = max(range(4), key=pops.__getitem__)
+    return np.array([states[s] for s in sample_steps]), winner if pops[winner] >= threshold else None
+
+
+@pytest.mark.parametrize("state", sorted(_oracle_states()))
+def test_exact_sampler_replays_its_contract_member_by_member(state):
+    # every member of ensembles of 1, 2 and _BATCH + 1 against _exact_reference:
+    # the outcome exactly, the states within 1e-12.  A Born pick biased by 1%
+    # moves at least 0.5% of the members of a two-amplitude state
+    psi = _oracle_states()[state]
+    a, lam, dt, threshold = A_REF, 1.3, 2e-3, 0.75
+    kw = dict(seed=5, sample_times=[0.0, 0.012, 0.022], collapse_threshold=threshold)
+    outcomes = set()
+    for n in (1, 2, qdyn._BATCH + 1):
+        records = qdyn.simulate_ensemble(psi, None, a, lam, dt, 0.022, n_trajectories=n, **kw)
+        for rec in records:
+            want, outcome = _exact_reference(psi, a, lam, dt, 11, [0, 6, 11], rec.seed, threshold)
+            assert np.allclose(rec.states, want, rtol=0.0, atol=1e-12), rec.seed
+            assert rec.outcome == outcome, rec.seed
+            outcomes.add(outcome)
+    assert len(outcomes) > 1 or state in ("basis_11", "tiny_amplitude")
 
 
 def _mean_and_se(values):
