@@ -17,16 +17,15 @@ relative ``--output`` paths are resolved inside that directory.
 
 Each handler imports the modules it uses, so ``phi``, ``qshape``,
 ``distances``, ``optimize`` without ``--oracle``, ``qphi`` and the argument
-errors argparse reports run without importing numpy; ``simulate`` imports it
-before its own checks (``--samples 0``, ``--eigenvalues``, ``--pair``,
-``--trajectories``).  Only ``optimize`` imports the optimizer.
+errors of argparse and ``simulate`` run without importing numpy: ``simulate``
+refuses its arguments through the library's rules in :mod:`dyadlab.model`
+first.  Only ``optimize`` imports the optimizer.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -81,12 +80,9 @@ def _parse_tpm(text: str) -> model.Tpm2:
     return _read_json(text, "transition rule", lambda data: model.Tpm2.from_json(data, name=name))
 
 
-def _parse_eigenvalues(text: str) -> np.ndarray:
-    from . import qdyn
-
+def _parse_eigenvalues(text: str) -> tuple[float, ...]:
     try:
-        values = [float(v) for v in text.split(",")]
-        return qdyn.build_collapse_operator(values)
+        return model.collapse_eigenvalues([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise UsageError(f"invalid eigenvalues {text!r}: {exc}")
 
@@ -210,57 +206,39 @@ def cmd_optimize(args) -> str:
     return _json_text(payload)
 
 
-def _initial_pure_state(args) -> np.ndarray:
-    import numpy as np
+def _simulation_inputs(args) -> tuple[tuple, tuple, int, int | None]:
+    """Collapse eigenvalues, initial amplitudes, step count and CSV rows (None
+    for JSON) shared by both simulate modes, refused by the library's rules.
 
-    if args.pair is not None:
-        i, k = (_parse_state(p).index for p in args.pair)
-        if i == k:
-            raise UsageError("--pair needs two distinct states")
-        amplitudes = model.pair_state(i, k)
-    else:
-        amplitudes = model.NAMED_STATES[args.initial or "plus0"]
-    return np.array(amplitudes, dtype=complex)
-
-
-def _simulation_inputs(args) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse eigenvalues and initial pure state shared by both simulate modes."""
+    CSV rows are the smaller of ``--samples`` and the ``n_steps + 1`` grid
+    steps: sample times snap to the nearest step, so more rows would only
+    repeat rows.  More than ``MAX_CSV_ROWS`` are refused before any is built.
+    """
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
-    return _parse_eigenvalues(args.eigenvalues), _initial_pure_state(args)
-
-
-def _csv_sample_times(t: float, dt: float, samples: int) -> np.ndarray:
-    """``linspace(0, t, rows)``, ``rows`` the smaller of ``samples`` and the grid's steps.
-
-    Sample times snap to the nearest of the ``qdyn.step_count(t, dt) + 1``
-    grid steps, so more rows than steps would only repeat rows; with exactly
-    that many every step is one row.  More than ``MAX_CSV_ROWS`` rows are
-    refused before any of them is built.
-    """
-    import numpy as np
-
-    from . import qdyn
-
-    rows = min(samples, qdyn.step_count(t, dt) + 1)
-    if rows > MAX_CSV_ROWS:
+    a = _parse_eigenvalues(args.eigenvalues)
+    if args.pair is None:
+        amplitudes = model.NAMED_STATES[args.initial or "plus0"]
+    else:
+        amplitudes = model.pair_state(*(_parse_state(p).index for p in args.pair))
+    model.check_rate(args.lam)
+    n_steps = model.step_count(args.t, args.dt)
+    rows = min(args.samples, n_steps + 1) if args.format == "csv" else None
+    if rows is not None and rows > MAX_CSV_ROWS:
         raise UsageError(f"--format csv would print {rows} rows, more than the {MAX_CSV_ROWS} allowed")
-    return np.linspace(0.0, t, rows)
+    return a, amplitudes, n_steps, rows
 
 
 def cmd_simulate_lindblad(args) -> str:
+    a, amplitudes, _, rows = _simulation_inputs(args)
     import numpy as np
 
     from . import qdyn
 
-    a, psi0 = _simulation_inputs(args)
-    rho0 = np.outer(psi0, psi0.conj())
-    if args.format == "csv":
-        sample_times = _csv_sample_times(args.t, args.dt, args.samples)
-    else:
-        sample_times = [args.t]
+    rho0 = np.outer(amplitudes, amplitudes)  # the named states' amplitudes are real
+    sample_times = [args.t] if rows is None else np.linspace(0.0, args.t, rows)
     times, states = qdyn.lindblad_path(rho0, None, a, args.lam, args.dt, sample_times)
-    if args.format == "csv":
+    if rows is not None:
         return _csv_text(_csv_row(t, rho) for t, rho in zip(times, states))
     rho = states[-1]
     return _json_text(
@@ -268,7 +246,7 @@ def cmd_simulate_lindblad(args) -> str:
             "t": float(times[-1]),
             "dt": args.dt,
             "lambda": args.lam,
-            "eigenvalues": a.tolist(),
+            "eigenvalues": list(a),
             "populations": [float(rho[i, i].real) for i in range(4)],
             "coherences": qdyn.coherence_magnitudes(rho),
             "rho_real": rho.real.tolist(),
@@ -278,22 +256,24 @@ def cmd_simulate_lindblad(args) -> str:
 
 
 def cmd_simulate_sde(args) -> str:
+    a, amplitudes, n_steps, rows = _simulation_inputs(args)
+    if not 0 < args.trajectories <= MAX_TRAJECTORIES:
+        raise UsageError(f"--trajectories must lie in [1, {MAX_TRAJECTORIES}]")
+    if n_steps == 0:
+        raise UsageError(
+            f"--t {args.t!r} rounds to zero steps of --dt {args.dt!r}; a run takes at least one"
+        )
+    if rows is not None and args.trajectories != 1:
+        raise UsageError("--format csv needs --trajectories 1")
+    model.check_collapse_threshold(args.threshold)
+    model.step_count(args.t, args.dt, model.MAX_SDE_STEPS)
+    model.derive_trajectory_seed(args.seed, args.trajectories - 1)
     import numpy as np
 
     from . import qdyn
 
-    a, psi0 = _simulation_inputs(args)
-    if not 0 < args.trajectories <= MAX_TRAJECTORIES:
-        raise UsageError(f"--trajectories must lie in [1, {MAX_TRAJECTORIES}]")
-    if qdyn.step_count(args.t, args.dt) == 0:
-        raise UsageError(
-            f"--t {args.t!r} rounds to zero steps of --dt {args.dt!r}; a run takes at least one"
-        )
-    csv = args.format == "csv"
-    if csv and args.trajectories != 1:
-        raise UsageError("--format csv needs --trajectories 1")
     records = qdyn.simulate_ensemble(
-        psi0,
+        amplitudes,
         None,
         a,
         args.lam,
@@ -301,10 +281,10 @@ def cmd_simulate_sde(args) -> str:
         args.t,
         n_trajectories=args.trajectories,
         seed=args.seed,
-        sample_times=_csv_sample_times(args.t, args.dt, args.samples) if csv else [args.t],
+        sample_times=[args.t] if rows is None else np.linspace(0.0, args.t, rows),
         collapse_threshold=args.threshold,
     )
-    if csv:
+    if rows is not None:
         record = records[0]
         return _csv_text(
             _csv_row(t, np.outer(psi, psi.conj())) for t, psi in zip(record.times, record.states)
@@ -323,7 +303,7 @@ def cmd_simulate_sde(args) -> str:
         "t": float(t_end),
         "dt": args.dt,
         "lambda": args.lam,
-        "eigenvalues": a.tolist(),
+        "eigenvalues": list(a),
         "collapse_threshold": args.threshold,
         "outcomes": {**counts, "none": none_count},
         "frequencies": {k: v / args.trajectories for k, v in counts.items()},
@@ -351,19 +331,8 @@ def _amplitude_values(data) -> list[complex]:
 
 
 def _parse_amplitudes(path: str) -> list[complex]:
-    values = _read_json(path, "amplitudes", _amplitude_values)
-    if len(values) != 4:
-        raise UsageError("amplitudes must list exactly 4 entries")
-    for i, v in enumerate(values):
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise UsageError(f"amplitude {i} is not finite: {v}")
-    # np.linalg.norm's sqrt(re . re + im . im), each dot paired as OpenBLAS's
-    # x86-64 kernel pairs four strided entries; an overflow is inf, refused below
-    re = [v.real * v.real for v in values]
-    im = [v.imag * v.imag for v in values]
-    norm = math.sqrt(((re[0] + re[2]) + (re[1] + re[3])) + ((im[0] + im[2]) + (im[1] + im[3])))
-    if abs(norm - 1.0) > 1e-8:
-        raise UsageError(f"amplitudes are not normalized (norm {norm:.6f})")
+    # a file's amplitudes are normalised, so they may miss norm 1 by more than the library allows
+    values, norm = model.pure_state(_read_json(path, "amplitudes", _amplitude_values), 1e-8)
     # numpy divides a complex array by a real scalar through its reciprocal
     scale = 1.0 / norm
     return [complex(v.real * scale, v.imag * scale) for v in values]
@@ -373,13 +342,9 @@ def cmd_qphi(args) -> str:
     from . import qiit
 
     if args.amplitudes:
-        psi = _parse_amplitudes(args.amplitudes)
-        label = "custom"
+        psi, label = _parse_amplitudes(args.amplitudes), "custom"
     else:
-        label = args.state
-        if label not in ("plus0", "0plus"):
-            _parse_state(label)  # a basis state, or a UsageError
-        psi = model.NAMED_STATES[label]
+        psi, label = model.NAMED_STATES[args.state], args.state
     rho = [[p * q.conjugate() for q in psi] for p in psi]
     report = qiit.quantum_big_phi(rho)
     return _json_text({"state": label, **report.to_json()})
@@ -396,7 +361,7 @@ def _add_common_sim_args(parser, dt_help: str) -> None:
     group.add_argument("--pair", nargs=2, metavar=("S1", "S2"),
                        help="start in an equal superposition of two basis states")
     # no default: argparse lets a flag equal to its default through a mutually exclusive group
-    group.add_argument("--initial", choices=("plus0", "uniform"),
+    group.add_argument("--initial", choices=model.NAMED_STATES,
                        help="named initial state (default: plus0)")
     parser.add_argument("--samples", type=int, default=51, help="rows in CSV time series")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -461,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qphi", help="quantum integrated information of a dyad state")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--state", help="00, 01, 10, 11, plus0, or 0plus")
+    group.add_argument("--state", choices=model.NAMED_STATES, help="named state")
     group.add_argument("--amplitudes", help="JSON file with 4 (complex) amplitudes")
     p.add_argument("--output")
     p.set_defaults(func=cmd_qphi)

@@ -6,8 +6,10 @@ downstream (probability vectors, density matrices, distance tables) uses
 that ordering.
 
 All values here are immutable after construction and safe to share across
-threads.  The density-matrix check lives here too, in plain Python over the
-16 entries, so that the quantum calculus can validate a state without numpy.
+threads.  The input rules of the quantum calculus and the collapse dynamics
+live here too, in plain Python (states, eigenvalues, step count, rate,
+threshold and seed), so the library and the command line refuse alike, and
+without numpy.
 """
 
 from __future__ import annotations
@@ -119,6 +121,19 @@ NAMED_STATES = {
     "uniform": (0.5, 0.5, 0.5, 0.5),
 }
 
+
+def convert_entries(values, convert) -> list | None:
+    """``convert`` of each entry of ``values``, a sequence or an ndarray (read
+    through its ``tolist()``); None for a scalar or a string."""
+    entries = values.tolist() if hasattr(values, "tolist") else values
+    if isinstance(entries, str):  # numpy reads a string as one value
+        return None
+    try:
+        return list(map(convert, entries))
+    except TypeError:  # a scalar, or an entry that is not a number
+        return None
+
+
 # Hermiticity and trace of a density matrix hold within _DENSITY_ATOL, and
 # none of its eigenvalues lies below -_PSD_ATOL.
 _DENSITY_ATOL = 1e-10
@@ -129,12 +144,8 @@ def validate_density_matrix(rho, dim: int = 4) -> list[list[complex]]:
     """``rho`` (nested sequences or an ndarray) as ``dim`` rows of ``dim``
     complex entries, if it is a density matrix; ValueError otherwise."""
     # an ndarray lists its entries at C speed, and as Python numbers
-    entries = rho.tolist() if hasattr(rho, "tolist") else rho
-    try:
-        rows = [list(map(complex, row)) for row in entries]
-    except TypeError:  # a scalar, or a row or entry that is not a number
-        rows = None
-    if rows is None or len(rows) != dim or any(len(row) != dim for row in rows):
+    rows = convert_entries(rho, lambda row: convert_entries(row, complex))
+    if rows is None or len(rows) != dim or any(row is None or len(row) != dim for row in rows):
         shape = getattr(rho, "shape", None)
         got = f"shape {shape}" if shape is not None else repr(rho)
         raise ValueError(f"density matrix must be {dim}x{dim}, got {got}")
@@ -179,6 +190,103 @@ def _positive_semidefinite(rows, shift: float) -> bool:
             for k in left:
                 s[i][k] -= f * s[p][k]
     return True
+
+
+def pure_state(psi, atol: float) -> tuple[list[complex], float]:
+    """``psi`` as four complex amplitudes and their norm, if they are finite
+    and the norm is 1 within ``atol``; ValueError otherwise.
+
+    The norm is np.linalg.norm's sqrt(re . re + im . im), each dot paired as
+    OpenBLAS's x86-64 kernel pairs four strided entries; an overflow is inf,
+    refused.  A refusal prints ``math.hypot``'s norm, as tiny squares underflow to 0.
+    """
+    values = convert_entries(psi, complex)
+    if values is None or len(values) != 4:
+        raise ValueError("a pure state needs exactly 4 amplitudes")
+    for i, v in enumerate(values):
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise ValueError(f"amplitude {i} is not finite: {v}")
+    re = [v.real * v.real for v in values]
+    im = [v.imag * v.imag for v in values]
+    norm = math.sqrt(((re[0] + re[2]) + (re[1] + re[3])) + ((im[0] + im[2]) + (im[1] + im[3])))
+    if not abs(norm - 1.0) <= atol:
+        raise ValueError(f"amplitudes are not normalized (norm {math.hypot(*map(abs, values))!r})")
+    return values, norm
+
+
+def collapse_eigenvalues(values) -> tuple[float, ...]:
+    """Diagonal of the collapse operator, in canonical state order, from any
+    four finite non-negative numbers; ValueError otherwise."""
+    a = convert_entries(values, float)
+    if a is None or len(a) != 4:
+        raise ValueError("a collapse operator needs exactly 4 real eigenvalues")
+    if not all(map(math.isfinite, a)):
+        raise ValueError("eigenvalues must be finite")
+    if min(a) < 0:
+        raise ValueError("eigenvalues must be non-negative")
+    return tuple(a)
+
+
+# Steps per SDE trajectory: the grid of an exact sample, or hours of split steps.
+MAX_SDE_STEPS = 10**9
+
+
+def step_count(t: float, dt: float, max_steps: int | None = None) -> int:
+    """Steps of ``dt`` that integrate for ``t``: ``round(t / dt)``, half to even.
+
+    Raises ValueError unless ``dt`` is finite and positive, ``t`` finite and
+    non-negative, ``t / dt`` finite, and the count at most ``max_steps``.
+    """
+    t, dt = float(t), float(dt)  # Python floats overflow t / dt to inf without a warning
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be finite and positive")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("duration must be finite and non-negative")
+    if not math.isfinite(t / dt):
+        raise ValueError(f"duration {t!r} is too many steps of dt={dt!r}")
+    n_steps = int(round(t / dt))
+    if max_steps is not None and n_steps > max_steps:
+        raise ValueError(
+            f"duration {t!r} is {n_steps:.3g} steps of dt={dt!r}, more than the "
+            f"{max_steps:.0e} allowed"
+        )
+    return n_steps
+
+
+def check_rate(lam: float) -> None:
+    """Refuse a collapse rate that is not finite and non-negative."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be finite and non-negative")
+
+
+def check_collapse_threshold(threshold: float) -> None:
+    """Refuse an outcome-declaring population that is not finite and in (0, 1]."""
+    if not (math.isfinite(threshold) and 0.0 < threshold <= 1.0):
+        raise ValueError("collapse threshold must be finite and in (0, 1]")
+
+
+def unsigned(value, what: str, bits: int) -> int:
+    """``value`` as an integer in [0, 2**bits); ValueError naming ``what`` otherwise."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} must be an integer") from None
+    if not 0 <= n < 1 << bits:
+        raise ValueError(f"{what} {n} is not in [0, 2**{bits})")
+    return n
+
+
+def derive_trajectory_seed(master_seed: int, index: int) -> int:
+    """Philox key of ensemble member ``index``: ``master_seed + index * 2**64``.
+
+    The master seed is the key's low 64-bit word and the member index its
+    high word, so distinct (seed, index) pairs get distinct keys and hence
+    independent Philox streams.  Feeding the key to ``qdyn.sde_trajectory``
+    reproduces the member exactly, independent of batching or total
+    trajectory count.  Raises ValueError unless both are integers in
+    [0, 2**64).
+    """
+    return unsigned(master_seed, "seed", 64) + (unsigned(index, "trajectory index", 64) << 64)
 
 
 class Tpm2:

@@ -77,7 +77,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, StepTooLarge
-from .model import COHERENCE_PAIRS, NAMED_STATES, pair_state, validate_density_matrix
+from .model import COHERENCE_PAIRS, MAX_SDE_STEPS, NAMED_STATES, check_collapse_threshold
+from .model import check_rate, collapse_eigenvalues, derive_trajectory_seed, pair_state, pure_state
+from .model import step_count, unsigned, validate_density_matrix
 from .model import swap as _swap_rule
 
 DIM = 4
@@ -85,8 +87,6 @@ DIM = 4
 # a time: the noise block holds _BATCH x _NOISE_CHUNK floats (8 MB).
 _BATCH = 1000
 _NOISE_CHUNK = 1024
-# Steps per SDE trajectory: the grid of an exact sample, or hours of split steps.
-MAX_SDE_STEPS = 10**9
 # Largest lam dt (max a - min a)^2 a split step takes: every exponent it forms
 # then stays below 6 times this, inside the float range.
 _EXPONENT_LIMIT = 1e307
@@ -104,28 +104,14 @@ _STABILITY_ATOL = 1e-10
 
 
 def validate_pure_state(psi) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (DIM,):
-        raise ValueError(f"pure state must have {DIM} amplitudes, got shape {psi.shape}")
-    if not np.isfinite(psi).all():
-        raise ValueError("pure state has a non-finite amplitude")
-    norm = np.linalg.norm(psi)
-    if not abs(norm - 1.0) <= _STATE_ATOL:
-        raise ValueError(f"pure state norm is {norm!r}, not 1")
-    return psi
+    """``psi`` as a complex array, if :func:`model.pure_state` accepts it."""
+    return np.array(pure_state(psi, _STATE_ATOL)[0], dtype=complex)
 
 
 def build_collapse_operator(assignment) -> np.ndarray:
-    """Diagonal of the collapse operator, in canonical state order, from any
-    four numbers (an ``optimizer.EigenAssignment`` among them)."""
-    values = np.asarray(assignment, dtype=float)
-    if values.shape != (DIM,):
-        raise ValueError("a collapse operator needs exactly 4 eigenvalues")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("eigenvalues must be finite")
-    if np.any(values < 0):
-        raise ValueError("eigenvalues must be non-negative")
-    return values.astype(float)
+    """:func:`model.collapse_eigenvalues` of any four numbers (an
+    ``optimizer.EigenAssignment`` among them), as a float array."""
+    return np.array(collapse_eigenvalues(assignment))
 
 
 def coherence_decay_rate(a, lam: float, i: int, k: int) -> float:
@@ -195,11 +181,6 @@ def _check_guard(rhos: np.ndarray, steps, dt) -> None:
         )
 
 
-def _check_rate(lam: float) -> None:
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError("lam must be finite and non-negative")
-
-
 def _check_hamiltonian(h) -> np.ndarray | None:
     """``h`` as a complex Hermitian 4x4 matrix; None stands for no Hamiltonian."""
     if h is None:
@@ -212,32 +193,11 @@ def _check_hamiltonian(h) -> np.ndarray | None:
     return h
 
 
-def step_count(t: float, dt: float) -> int:
-    """Steps of ``dt`` that integrate for ``t``: ``round(t / dt)``, half to even.
-
-    Raises ValueError unless ``dt`` is finite and positive, ``t`` finite and
-    non-negative, and ``t / dt`` finite.
-    """
-    t, dt = float(t), float(dt)  # Python floats overflow t / dt to inf without a warning
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be finite and positive")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError("duration must be finite and non-negative")
-    if not math.isfinite(t / dt):
-        raise ValueError(f"duration {t!r} is too many steps of dt={dt!r}")
-    return int(round(t / dt))
-
-
 def _time_grid(
     t: float, dt: float, sample_times, max_steps: int | None = None
 ) -> tuple[int, list[int], np.ndarray]:
-    n_steps = step_count(t, dt)
-    t, dt = float(t), float(dt)
-    if max_steps is not None and n_steps > max_steps:  # before snapping any sample time
-        raise ValueError(
-            f"duration {t!r} is {n_steps:.3g} steps of dt={dt!r}, more than the "
-            f"{max_steps:.0e} allowed"
-        )
+    n_steps = step_count(t, dt, max_steps)  # before snapping any sample time
+    dt = float(dt)
     if sample_times is None:
         sample_times = [0.0, t] if n_steps > 0 else [0.0]
     elif np.size(sample_times) == 0:
@@ -329,7 +289,7 @@ def lindblad_path(rho0, h, a, lam: float, dt: float, sample_times) -> tuple[np.n
     """
     rho = np.array(validate_density_matrix(rho0), dtype=complex)
     a = build_collapse_operator(a)
-    _check_rate(lam)
+    check_rate(lam)
     h = _check_hamiltonian(h)
     if h is None:
         h = np.zeros((DIM, DIM), dtype=complex)
@@ -381,29 +341,6 @@ class TrajectoryRecord:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-
-def derive_trajectory_seed(master_seed: int, index: int) -> int:
-    """Philox key of ensemble member ``index``: ``master_seed + index * 2**64``.
-
-    The master seed is the key's low 64-bit word and the member index its
-    high word, so distinct (seed, index) pairs get distinct keys and hence
-    independent Philox streams.  Feeding the key to :func:`sde_trajectory`
-    reproduces the member exactly, independent of batching or total
-    trajectory count.  Raises ValueError unless both are integers in
-    [0, 2**64).
-    """
-    try:
-        master, index = operator.index(master_seed), operator.index(index)
-    except TypeError:
-        raise ValueError(
-            f"seed {master_seed!r} and trajectory index {index!r} must be integers"
-        ) from None
-    if not 0 <= master < 1 << 64:
-        raise ValueError(f"seed {master} is not in [0, 2**64)")
-    if not 0 <= index < 1 << 64:
-        raise ValueError(f"trajectory index {index} is not in [0, 2**64)")
-    return master + (index << 64)
 
 
 def _rekeyed(gen: np.random.Generator, streams):
@@ -668,9 +605,8 @@ def _trajectories(
     psi0 = validate_pure_state(psi0)
     a = build_collapse_operator(a)
     h = _check_hamiltonian(h)
-    _check_rate(lam)
-    if not (math.isfinite(collapse_threshold) and 0.0 < collapse_threshold <= 1.0):
-        raise ValueError("collapse threshold must be finite and in (0, 1]")
+    check_rate(lam)
+    check_collapse_threshold(collapse_threshold)
     n_steps, steps, times = _time_grid(t, dt, sample_times, max_steps=MAX_SDE_STEPS)
     # A - <A> is unchanged by shifting A by a multiple of the identity; from the
     # smallest eigenvalue every a_i - <A> stays within the gap instead of
@@ -698,12 +634,7 @@ def _trajectory_key(seed):
     """Yield ``seed`` once, after checking that it is a Philox key: an integer
     in [0, 2**128).  The check runs when the engine draws the key, after every
     other input is validated."""
-    try:
-        key = operator.index(seed)
-    except TypeError:
-        raise ValueError(f"trajectory seed {seed!r} must be an integer") from None
-    if not 0 <= key < 1 << 128:
-        raise ValueError(f"trajectory seed {key} is not in [0, 2**128)")
+    unsigned(seed, "trajectory seed", 128)
     yield seed
 
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import KLUndefined, NotCrossCoupled
-from .model import ALL_STATES, UNIT_A, UNIT_B, DyadState, Tpm2
+from .model import ALL_STATES, UNIT_A, UNIT_B, DyadState, Tpm2, convert_entries
 from .phi import big_phi
 
 ROW_LABELS = ("A_effect", "A_cause", "B_effect", "B_cause")
@@ -38,14 +38,10 @@ def validate_distribution(p, atol: float = 1e-12) -> tuple:
     or ragged sequence and an array of any other shape are refused with
     ``ValueError``, as are non-finite and negative entries and a sum off 1.
     """
-    if getattr(p, "ndim", 1) != 1:
-        raise ValueError(f"distribution must have 4 entries, got shape {p.shape}")
-    try:
-        row = tuple(map(float, p))
-    except TypeError as exc:  # a scalar, or an entry that is itself a sequence
-        raise ValueError(f"distribution must be a sequence of 4 numbers: {exc}") from None
-    if len(row) != 4:
-        raise ValueError(f"distribution must have 4 entries, got {len(row)}")
+    row = convert_entries(p, float)
+    if row is None or len(row) != 4:
+        raise ValueError(f"distribution must be a sequence of 4 numbers, got {p!r}")
+    row = tuple(row)
     if not all(map(math.isfinite, row)):
         raise ValueError("distribution has a non-finite entry")
     if min(row) < -atol:

@@ -190,6 +190,7 @@ def test_criterion_07_ensemble_matches_lindblad():
 
 
 def test_criterion_08_born_statistics():
+    """Detects a shift of the |00> probability of 0.025 in 98% of runs: the 0.015 band plus 2 sigma."""
     a = qdyn.build_collapse_operator((2.0, 0.0, 4.0, 6.0))
     psi = qdyn.basis_superposition(0, 1)
     records = qdyn.simulate_ensemble(

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyadlab import cli, optimizer, qdyn
+from dyadlab import cli, model, optimizer, qdyn, qiit
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "docs" / "schemas"
@@ -545,7 +545,7 @@ def test_simulate_sde_ensemble_average_at_off_grid_t(capsys):
 def _default_eigenvalues(mode):
     """The collapse eigenvalues a `simulate` run uses without --eigenvalues."""
     args = cli.build_parser().parse_args(["simulate", mode])
-    return cli._parse_eigenvalues(args.eigenvalues)
+    return np.array(cli._parse_eigenvalues(args.eigenvalues))
 
 
 @pytest.mark.parametrize("mode", ["lindblad", "sde"])
@@ -674,6 +674,28 @@ def test_qphi_rejects_unnormalized_amplitudes(tmp_path, capsys):
     assert "normalized" in capsys.readouterr().err
 
 
+def test_qphi_prints_the_norm_of_a_tiny_vector(tmp_path):
+    # its squares underflow to a norm of 0.0, but the refusal names the norm it has
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps([[1e-170, 0], 0, 0, 0]))
+    code, out, err = _main_in_process(["qphi", "--amplitudes", str(path)])
+    assert (code, out, err) == (2, "", "error: amplitudes are not normalized (norm 1e-170)\n")
+
+
+@pytest.mark.parametrize("name", list(model.NAMED_STATES))
+def test_every_named_state_runs_in_qphi_and_lindblad(name, capsys):
+    amplitudes = model.NAMED_STATES[name]
+    data = _run_json(capsys, ["qphi", "--state", name])
+    _validate("qphi", data)
+    rho = np.outer(amplitudes, amplitudes)
+    assert data == {"state": name, **qiit.quantum_big_phi(rho).to_json()}
+    if name == "uniform":
+        assert data["big_phi"] == 2.0
+    data = _run_json(capsys, ["simulate", "lindblad", "--initial", name])
+    _validate("simulate_lindblad", data)
+    assert data["populations"] == [abs(c) ** 2 for c in amplitudes]
+
+
 def test_qphi_rejects_non_finite_amplitudes_by_name(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps([1, math.nan, 0, 0]))  # the JSON token NaN
@@ -753,9 +775,29 @@ def test_package_and_cli_import_loads_no_numpy():
     assert proc.stdout.split() == ["False", "False"]
 
 
-# The commands that run no linear algebra, with the exit code each expects;
-# the files they read are the keys of NUMPY_FREE_FILES.  `optimize --oracle`
-# is not one of them: its lattice search runs on numpy.
+# The commands that run no linear algebra, and the simulate argument errors,
+# with the exit code each expects; the files they read are the keys of
+# NUMPY_FREE_FILES.  `optimize --oracle` is not one of them: its lattice
+# search runs on numpy.
+_SIMULATE_REFUSALS = [
+    *(
+        (["simulate", mode, *argv], 2)
+        for mode in ("lindblad", "sde")
+        for argv in (
+            ["--samples", "0"],
+            ["--eigenvalues", "1,2"],
+            ["--pair", "00", "00"],
+            ["--lambda", "-1"],
+            ["--dt", "nan"],
+            ["--format", "csv", "--samples", "200000", "--dt", "1e-6"],  # cli.MAX_CSV_ROWS
+        )
+    ),
+    (["simulate", "sde", "--seed", "-1"], 2),
+    (["simulate", "sde", "--threshold", "2"], 2),
+    (["simulate", "sde", "--trajectories", "0"], 2),
+    (["simulate", "sde", "--t", "1e-4", "--dt", "1e-3"], 2),  # zero steps
+    (["simulate", "sde", "--t", "1e15"], 2),  # more than model.MAX_SDE_STEPS
+]
 NUMPY_FREE_COMMANDS = [
     (["--help"], 0),
     (["phi", "--state", "10"], 0),
@@ -771,6 +813,8 @@ NUMPY_FREE_COMMANDS = [
     *((["qphi", "--state", state], 0) for state in ("plus0", "0plus", "10")),
     (["qphi", "--amplitudes", "amps.json"], 0),
     (["qphi", "--amplitudes", "bell.json"], 2),  # entangled
+    (["qphi", "--state", "uniform"], 0),
+    *_SIMULATE_REFUSALS,
 ]
 _BELL = 1.0 / math.sqrt(2.0)
 NUMPY_FREE_FILES = {

@@ -152,6 +152,7 @@ def test_density_matrix_check_takes_nested_sequences_and_returns_complex_rows():
     rows = model.validate_density_matrix([[0.75, 0.25j], [-0.25j, 0.25]], dim=2)
     assert rows == [[0.75, 0.25j], [-0.25j, 0.25]]
     assert all(type(v) is complex for row in rows for v in row)
-    for bad in (0.5, [0.5, 0.5], [[1.0, 0.0], [0.0]], [[[1.0]]]):
+    # a row given as a string of digits is one value, as numpy reads it, not one entry per digit
+    for bad in (0.5, [0.5, 0.5], [[1.0, 0.0], [0.0]], [[[1.0]]], ["10", "00"]):
         with pytest.raises(ValueError, match="must be 2x2"):
             model.validate_density_matrix(bad, dim=2)
