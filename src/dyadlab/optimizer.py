@@ -218,10 +218,9 @@ def grid_oracle(table, granularity: float = 1.0, bound: float | None = None) -> 
     feasibility and lowers the sum).  Refuses lattices of more than
     ``MAX_LATTICE_POINTS`` points before building them, and raises
     :class:`InfeasibleTable` naming the lattice when none of its points is
-    feasible, which a coarse granularity or a tight bound can cause.
+    feasible, which a coarse granularity or a tight bound can cause.  Numpy
+    is imported only after every argument is accepted.
     """
-    import numpy as np
-
     table = validate_table(table)
     if not (math.isfinite(granularity) and granularity > 0):
         raise ValueError("granularity must be finite and positive")
@@ -238,6 +237,8 @@ def grid_oracle(table, granularity: float = 1.0, bound: float | None = None) -> 
             f"granularity {granularity!r} on [0, {bound!r}] asks for a lattice of "
             f"{per_axis:.3g}^3 points, more than {MAX_LATTICE_POINTS}; use a coarser granularity"
         )
+    import numpy as np
+
     axis = np.arange(0.0, bound + granularity / 2, granularity)
     free = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     # each pinned grid is built, filtered and dropped in turn, to keep the peak at one

@@ -44,17 +44,29 @@ Two complementary pictures of the same process:
 Both pictures see ``A`` only through ``lam``, so with ``lam = 0`` they
 integrate with ``A = 0`` and no eigenvalue gap, however large, trips a guard.
 
-Randomness is counter-based: Philox gives an independent stream for every
-distinct 128-bit key (Salmon et al., SC'11), so member ``i`` of an ensemble
-with master seed ``m`` draws from the stream keyed ``m + i * 2**64``
+Randomness is counter-based: Philox4x64-10 gives an independent stream for
+every distinct 128-bit key (Salmon et al., SC'11), so member ``i`` of an
+ensemble with master seed ``m`` draws from the stream keyed ``m + i * 2**64``
 (:func:`derive_trajectory_seed`), the seed in the low 64-bit word and the
 index in the high one.  An ensemble's keys are therefore one range,
 ``m, m + 2**64, ...``; checking the last member's key checks them all, once,
 when the engine draws the first.  Single runs and ensembles share one engine:
-it runs up to ``_BATCH`` trajectories together and re-keys one Philox
-generator per trajectory instead of building one.  A stream is fixed by its
-key alone, so re-keying writes the key's two words into one reused state
-dict; a trajectory's own state is saved only when more noise follows.
+it runs up to ``_BATCH`` trajectories together.  The exact sampler computes
+the Philox words of every key of a batch in one numpy pass
+(:func:`_philox_words`) and forms its draws from them itself
+(:func:`_exact_draws`): a uniform that is numpy's ``random()`` of the stream
+bit for bit, then Box-Muller normals.  Only correctly rounded arithmetic,
+``math.log`` and numpy's complex ``exp`` (libm's ``exp``, ``cos`` and
+``sin``) shape its output, never a loop numpy picks for the CPU, so its bytes
+depend only on the inputs and the libm.  Those words cost about 0.2 us per
+normal, against about 16 ns for numpy's ziggurat (2-core AVX-512 x86-64,
+numpy 2.4), and the split step draws one normal per trajectory per step
+(about 4.5e6 in one ``sde_long`` benchmark pass), so it keeps numpy's
+generator: it re-keys one Philox generator per trajectory instead of building
+one.  A stream is fixed by its key alone, so re-keying writes the key's two
+words into one reused state dict; a trajectory's own state is saved only when
+more noise follows.  Its bytes depend on numpy's generator and on BLAS, so
+they are fixed within one CPU class only.
 The split step draws the noise ``_NOISE_CHUNK`` steps at a time, so noise
 memory is ``_BATCH x _NOISE_CHUNK`` floats however long the run.  Neither
 method's arithmetic depends on the batch or the chunking, so trajectory ``i``
@@ -92,6 +104,10 @@ _NOISE_CHUNK = 1024
 _EXPONENT_LIMIT = 1e307
 # exp of a larger argument overflows.
 _EXP_ARG_MAX = 709.0
+# Philox4x64-10's round multipliers and key increments (Salmon et al., SC'11).
+_PHILOX_MULTIPLIER = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_BUMP = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_HALF, _LOW_HALF = np.uint64(32), np.uint64(0xFFFFFFFF)
 
 _STATE_ATOL = 1e-10
 _GUARD_ATOL = 1e-6
@@ -384,14 +400,76 @@ def _draw_noise(gen: np.random.Generator, streams: list, block: np.ndarray, widt
             streams[row] = gen.bit_generator.state
 
 
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products ``m x``, the high
+    one by long multiplication of 32-bit halves (Warren, *Hacker's Delight*,
+    2nd ed., 8-2), no partial sum of which passes 64 bits."""
+    m_lo, m_hi = m & _LOW_HALF, m >> _HALF
+    x_lo, x_hi = x & _LOW_HALF, x >> _HALF
+    t = m_hi * x_lo + ((m_lo * x_lo) >> _HALF)
+    mid = m_lo * x_hi + (t & _LOW_HALF)
+    return m_hi * x_hi + (t >> _HALF) + (mid >> _HALF), m * x
+
+
+def _philox_words(keys, blocks: int) -> np.ndarray:
+    """The first ``4 * blocks`` words of the Philox4x64-10 stream of each key
+    (Salmon et al., SC'11), as a ``(len(keys), 4 * blocks)`` uint64 array.
+
+    Key ``k`` is the word pair ``(k & (2**64 - 1), k >> 64)`` and block ``b``
+    has the counter ``(b + 1, 0, 0, 0)``, as in numpy's ``Philox(key=k)``, so
+    row ``r`` equals ``Philox(key=keys[r]).random_raw(4 * blocks)``.  All rows
+    and blocks go through the ten rounds together, and the first round
+    computes the products only once per block, since every row shares the
+    counters.
+    """
+    # the 16 little-endian bytes of k are its two words
+    key = np.frombuffer(b"".join([int(k).to_bytes(16, "little") for k in keys]), dtype="<u8")
+    k0, k1 = key.reshape(-1, 2, 1).transpose(1, 0, 2)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_BUMP[0], k1 + _PHILOX_BUMP[1]
+        hi0, lo0 = _mulhilo(_PHILOX_MULTIPLIER[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_MULTIPLIER[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+    return words.reshape(len(keys), 4 * blocks)
+
+
+def _exact_draws(keys, normals: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``r``'s uniform and its ``normals`` standard normals, from the
+    Philox words ``w`` of ``keys[r]`` (:func:`_philox_words`).
+
+    With ``v(w) = (w >> 11) 2**-53``, the uniform is ``v(w[0])``, which is
+    numpy's ``random()`` of that stream, bit for bit.  Normals ``2i`` and
+    ``2i + 1`` are ``r cos(theta)`` and ``r sin(theta)`` by Box-Muller (Ann.
+    Math. Stat. 29, 610 (1958)), with ``r = sqrt(-2 log(1 - v(w[2i + 1])))``
+    and ``theta = 2 pi v(w[2i + 2])``.  Only correctly rounded arithmetic,
+    ``math.log`` and the complex ``np.exp`` (``cos`` and ``sin`` from libm)
+    touch them, so their bits do not depend on numpy's CPU dispatch.
+    """
+    pairs = -(-normals // 2)
+    words = _philox_words(keys, (2 * pairs + 4) // 4)  # 1 + 2 pairs words, whole blocks
+    units = (words[:, : 1 + 2 * pairs] >> np.uint64(11)) * 2.0**-53
+    logs = list(map(math.log, (1.0 - units[:, 1::2]).ravel().tolist()))
+    radius = np.sqrt(-2.0 * np.array(logs).reshape(len(keys), pairs))
+    turn = np.exp(1j * (math.tau * units[:, 2::2]))
+    z = np.empty((len(keys), 2 * pairs))
+    z[:, 0::2] = radius * turn.real
+    z[:, 1::2] = radius * turn.imag
+    return units[:, 0], z[:, :normals]
+
+
 def _collapse_exactly(psi0, a, lam, dt, n_steps, sample_steps, keys):
     """Sample one trajectory without a Hamiltonian per stream key; returns
     (samples, final states) as :func:`_evolve_sde_batch` does.
 
-    Row ``r`` re-keys the generator to ``keys[r]`` and draws one uniform,
-    which picks the outcome ``j`` with Born weight ``|psi0_j|^2``, then one
-    normal per positive step of the grid (the sample steps and the last
-    step), whose scaled running sum is ``W`` there.  With
+    Row ``r`` takes from the stream of ``keys[r]`` (:func:`_exact_draws`)
+    one uniform, which picks the outcome ``j`` with Born weight
+    ``|psi0_j|^2``, then one normal per positive step of the grid (the
+    sample steps and the last step), whose scaled running sum is ``W``
+    there.  With
     ``y = D sqrt(t) sqrt(lam)`` and ``xi = W_t / sqrt(t)`` the exponent
     ``D (sqrt(lam) W_t - lam t D)`` of the closed form is ``y (xi - y)``:
     a product that overflows reads as ``-inf``, and a zero ``D`` keeps the
@@ -399,21 +477,17 @@ def _collapse_exactly(psi0, a, lam, dt, n_steps, sample_steps, keys):
     reduced by their largest over the amplitudes ``psi0`` populates before
     ``exp``, so the others underflow to zero instead of overflowing; an
     amplitude that is zero in ``psi0`` stays exactly zero, and each keeps
-    its phase.  The step-0 sample is ``psi0`` itself.  The draws depend only
-    on the key and the grid, and every operation is per row, so a
-    trajectory does not depend on the batch.
+    its phase.  That ``exp`` is the real part of the complex one, which is
+    libm's ``exp`` whatever the CPU.  The step-0 sample is ``psi0`` itself.
+    The draws depend only on the key and the grid, and every operation is
+    per row, so a trajectory does not depend on the batch.
     """
     steps = np.union1d(sample_steps, [n_steps])
     steps = steps[steps > 0]  # W_0 = 0 needs no draw
     support = np.flatnonzero(psi0)
     pops = state_populations(psi0)
     born = np.cumsum(pops)
-    u = np.empty(len(keys))
-    z = np.empty((len(keys), len(steps)))
-    gen = np.random.Generator(np.random.Philox(0))
-    for row in _rekeyed(gen, list(map(int, keys))):
-        u[row] = gen.random()
-        gen.standard_normal(out=z[row])
+    u, z = _exact_draws(keys, len(steps))
     # a uniform that rounds onto the total weight picks the last populated amplitude
     j = np.minimum(np.searchsorted(born, u * born[-1], side="right"), support[-1])
     root_t = np.sqrt(steps * dt)
@@ -422,7 +496,7 @@ def _collapse_exactly(psi0, a, lam, dt, n_steps, sample_steps, keys):
         y = (a[support, None] - a[j])[..., None] * root_t * math.sqrt(lam)
         d = y * (xi - y)  # (amplitude, row, time)
     d -= d.max(axis=0)
-    amps = np.exp(d)
+    amps = np.exp(d + 0j).real
     amps /= np.sqrt(np.add.reduce(pops[support, None, None] * amps**2, axis=0))
     states = np.zeros((len(keys), len(steps) + 1, DIM), dtype=complex)
     states[:, 0] = psi0

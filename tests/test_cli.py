@@ -720,10 +720,14 @@ def test_qphi_rejects_entangled_amplitudes(tmp_path, capsys):
     assert cli.main(["qphi", "--amplitudes", str(path)]) == 2
 
 
-def _dyadlab_process(code, *argv, cwd=None):
+def _dyadlab_process(code, *argv, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120, cwd=cwd,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])},
+        env={
+            **os.environ,
+            **(env or {}),
+            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
+        },
     )
 
 
@@ -775,10 +779,10 @@ def test_package_and_cli_import_loads_no_numpy():
     assert proc.stdout.split() == ["False", "False"]
 
 
-# The commands that run no linear algebra, and the simulate argument errors,
-# with the exit code each expects; the files they read are the keys of
-# NUMPY_FREE_FILES.  `optimize --oracle` is not one of them: its lattice
-# search runs on numpy.
+# The commands that run no linear algebra, and the simulate and
+# `optimize --oracle` argument errors, with the exit code each expects; the
+# files they read are the keys of NUMPY_FREE_FILES.  `optimize --oracle`
+# itself runs its lattice search on numpy.
 _SIMULATE_REFUSALS = [
     *(
         (["simulate", mode, *argv], 2)
@@ -815,6 +819,9 @@ NUMPY_FREE_COMMANDS = [
     (["qphi", "--amplitudes", "bell.json"], 2),  # entangled
     (["qphi", "--state", "uniform"], 0),
     *_SIMULATE_REFUSALS,
+    (["optimize", "--oracle", "--granularity", "-1"], 2),
+    (["optimize", "--oracle", "--granularity", "1e-9"], 2),  # optimizer.MAX_LATTICE_POINTS
+    (["optimize", "--oracle", "--bound", "1"], 2),  # below 3x the largest entry
 ]
 _BELL = 1.0 / math.sqrt(2.0)
 NUMPY_FREE_FILES = {
@@ -884,12 +891,12 @@ def test_numpy_free_readme_commands_print_frozen_bytes(capsys, argv, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:12] == digest
 
 
-# The README and CI simulate commands, digested as above.  Each printed the
-# same bytes with numpy's AVX-512 dispatch off (NPY_DISABLE_CPU_FEATURES=
-# "X86_V4 AVX512_ICL AVX512_SPR") and under OPENBLAS_CORETYPE Prescott,
-# Sandybridge and Haswell.  The README's `simulate sde --format csv` run is
-# left out: its bytes follow numpy's exp dispatch, d443bb8b82a8 by default
-# and 9f7be054ab50 with AVX-512 off.
+# The README and CI simulate commands, digested as above.  Each prints the
+# same bytes with numpy's AVX-512 dispatch off (the test after this one) and
+# under OPENBLAS_CORETYPE Prescott, Sandybridge, Haswell and SkylakeX.  The
+# sde digests are those of the exact sampler's own Philox words and
+# Box-Muller normals; the 10^4-trajectory run prints only outcome counts,
+# whose uniforms are numpy's random() bit for bit, so it kept its bytes.
 README_SIMULATE_DIGESTS = [
     (["simulate", "lindblad", "--pair", "00", "01", "--eigenvalues", "2,0,4,6", "--t", "1",
       "--dt", "1e-4"], "9cb05df22809"),
@@ -897,18 +904,51 @@ README_SIMULATE_DIGESTS = [
       "--samples", "101"], "fc29921df732"),
     (["simulate", "sde", "--trajectories", "10000", "--seed", "0", "--t", "6", "--dt", "1e-3",
       "--pair", "00", "01", "--eigenvalues", "2,0,4,6"], "a04a039d2699"),
+    (["simulate", "sde", "--trajectories", "1", "--format", "csv", "--t", "2", "--dt", "1e-3"],
+     "72f85456616f"),
     # CI's byte-identity run
     (["simulate", "sde", "--trajectories", "2000", "--t", "1", "--dt", "1e-3", "--pair", "00",
-      "01", "--eigenvalues", "2,0,4,6", "--ensemble-average"], "7eefc54b25b9"),
+      "01", "--eigenvalues", "2,0,4,6", "--ensemble-average"], "3f6031c1aaa0"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, digest", README_SIMULATE_DIGESTS, ids=["lindblad_json", "lindblad_csv", "sde", "sde_average"]
+    "argv, digest",
+    README_SIMULATE_DIGESTS,
+    ids=["lindblad_json", "lindblad_csv", "sde", "sde_csv", "sde_average"],
 )
 def test_readme_simulate_commands_print_frozen_bytes(capsys, argv, digest):
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:12] == digest
+
+
+# Turns numpy's AVX-512 loops off in a child process.  Appended to _RUN_EACH,
+# _AVX512_ON prints, after the results, the AVX-512 dispatch targets still on.
+_NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+_AVX512_ON = """
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+print(json.dumps([t for t in __cpu_dispatch__ if __cpu_features__.get(t) and ("AVX512" in t or t == "X86_V4")]))
+"""
+
+
+def test_readme_simulate_commands_print_the_same_bytes_without_avx512():
+    # the exact sampler's draws and exp, and the Lindblad run, use only loops
+    # whose bits do not depend on the CPU features numpy dispatches on
+    argvs = json.dumps([argv for argv, _ in README_SIMULATE_DIGESTS])
+    runs = []
+    for env in ({"NPY_DISABLE_CPU_FEATURES": ""}, _NO_AVX512):
+        proc = _dyadlab_process(_RUN_EACH + _AVX512_ON, argvs, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs.append([json.loads(line) for line in proc.stdout.splitlines()])
+    (default, on), (restricted, still_on) = runs
+    if not on:
+        pytest.skip("numpy runs no AVX-512 loops on this CPU, so there are none to turn off")
+    assert still_on == [], f"{_NO_AVX512} left {still_on} on"
+    assert [code for code, _ in default] == [0] * len(README_SIMULATE_DIGESTS)
+    assert restricted == default
 
 
 def test_optimize_table_prints_rate_sums_added_left_to_right(tmp_path):

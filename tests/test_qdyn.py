@@ -631,21 +631,28 @@ def _exact_reference(psi0, a, lam, dt, n_steps, sample_steps, key, threshold):
     """One member of an ``H = None`` ensemble from the sampler's documented
     contract alone, in plain Python: ``(states at sample_steps, outcome)``.
 
-    The stream ``Philox(key=key)`` gives one uniform, which picks ``j`` with
-    Born weight ``|psi0_j|^2``, then one normal per positive step of the grid
-    (the sample steps and the last), whose running sum, each scaled by the
-    square root of its time since the one before, is ``W`` there.  At time
-    ``t``, ``psi_k`` is proportional to ``psi0_k exp(D_k (sqrt(lam) W - lam t D_k))``
-    with ``D_k = a_k - a_j``.  The outcome is the label whose population at the
-    last step reaches ``threshold``, else None.
+    With ``w`` the words of ``Philox(key=key)`` and ``v(x) = (x >> 11) 2**-53``,
+    the uniform ``v(w[0])`` picks ``j`` with Born weight ``|psi0_j|^2``.  Each
+    later pair of words gives two normals by Box-Muller,
+    ``r cos(theta)`` and ``r sin(theta)`` with ``r = sqrt(-2 log(1 - v(w[2i + 1])))``
+    and ``theta = 2 pi v(w[2i + 2])``: one per positive step of the grid (the
+    sample steps and the last), whose running sum, each scaled by the square
+    root of its time since the one before, is ``W`` there.  At time ``t``,
+    ``psi_k`` is proportional to ``psi0_k exp(D_k (sqrt(lam) W - lam t D_k))``
+    with ``D_k = a_k - a_j``.  The outcome is the label whose population at
+    the last step reaches ``threshold``, else None.
     """
-    gen = np.random.Generator(np.random.Philox(key=key))
-    u = gen.random()
-    born = list(itertools.accumulate(abs(c) ** 2 for c in psi0))
-    j = next(m for m in range(4) if born[m] > u * born[-1])
     steps = sorted({s for s in sample_steps if s > 0} | {n_steps})
+    pairs = (len(steps) + 1) // 2
+    v = [(w >> 11) * 2.0**-53 for w in np.random.Philox(key=key).random_raw(1 + 2 * pairs).tolist()]
+    normals = []
+    for v1, v2 in zip(v[1::2], v[2::2]):
+        r = math.sqrt(-2.0 * math.log(1.0 - v1))
+        normals += [r * math.cos(2.0 * math.pi * v2), r * math.sin(2.0 * math.pi * v2)]
+    born = list(itertools.accumulate(abs(c) ** 2 for c in psi0))
+    j = next(m for m in range(4) if born[m] > v[0] * born[-1])
     w, previous, states = 0.0, 0, {0: [complex(c) for c in psi0]}
-    for step, z in zip(steps, gen.standard_normal(len(steps)).tolist()):
+    for step, z in zip(steps, normals):
         w += z * math.sqrt((step - previous) * dt)
         previous, t = step, step * dt
         exponents = {k: (a[k] - a[j]) * (math.sqrt(lam) * w - lam * t * (a[k] - a[j]))
@@ -658,6 +665,20 @@ def _exact_reference(psi0, a, lam, dt, n_steps, sample_steps, key, threshold):
     pops = [abs(c) ** 2 for c in states[n_steps]]
     winner = max(range(4), key=pops.__getitem__)
     return np.array([states[s] for s in sample_steps]), winner if pops[winner] >= threshold else None
+
+
+def test_philox_words_are_numpy_raw_words_for_every_key():
+    # the extreme words of both key halves, all rows of one batch at once, over
+    # one to four blocks; the first word's uniform is numpy's random()
+    keys = [0, 1, 2**64 - 1, 2**64 + 7, 2**128 - 1]
+    for blocks in (1, 2, 3, 4):
+        words = qdyn._philox_words(keys, blocks)
+        assert words.dtype == np.uint64 and words.shape == (len(keys), 4 * blocks)
+        for key, row in zip(keys, words):
+            assert np.array_equal(row, np.random.Philox(key=key).random_raw(4 * blocks)), (key, blocks)
+    u, z = qdyn._exact_draws(keys, 5)
+    assert u.tolist() == [np.random.Generator(np.random.Philox(key=k)).random() for k in keys]
+    assert z.shape == (len(keys), 5)
 
 
 @pytest.mark.parametrize("state", sorted(_oracle_states()))
