@@ -62,11 +62,9 @@ depend only on the inputs and the libm.  Those words cost about 0.2 us per
 normal, against about 16 ns for numpy's ziggurat (2-core AVX-512 x86-64,
 numpy 2.4), and the split step draws one normal per trajectory per step
 (about 4.5e6 in one ``sde_long`` benchmark pass), so it keeps numpy's
-generator: it re-keys one Philox generator per trajectory instead of building
-one.  A stream is fixed by its key alone, so re-keying writes the key's two
-words into one reused state dict; a trajectory's own state is saved only when
-more noise follows.  Its bytes depend on numpy's generator and on BLAS, so
-they are fixed within one CPU class only.
+generator: each trajectory draws from its own ``Generator(Philox(key=k))``,
+built when its batch starts.  Its bytes depend on numpy's generator and on
+BLAS, so they are fixed within one CPU class only.
 The split step draws the noise ``_NOISE_CHUNK`` steps at a time, so noise
 memory is ``_BATCH x _NOISE_CHUNK`` floats however long the run.  Neither
 method's arithmetic depends on the batch or the chunking, so trajectory ``i``
@@ -359,47 +357,6 @@ class TrajectoryRecord:
         return self.states[-1]
 
 
-def _rekeyed(gen: np.random.Generator, streams):
-    """Yield the index of each entry of ``streams`` with ``gen`` set to that stream.
-
-    An entry is a Philox key, an ``int`` in [0, 2**128), or a saved Philox
-    state.  A Philox stream is fixed by its key alone, so a key re-keys the
-    generator to the start of its stream, as ``Philox(key=key)`` is built, by
-    writing the key's two 64-bit words into one reused state dict.
-    """
-    bg = gen.bit_generator
-    words = [0, 0]
-    start = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": words},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for row, stream in enumerate(streams):
-        if type(stream) is int:
-            words[0] = stream & 0xFFFFFFFFFFFFFFFF
-            words[1] = stream >> 64
-            stream = start
-        bg.state = stream
-        yield row
-
-
-def _draw_noise(gen: np.random.Generator, streams: list, block: np.ndarray, width: int, keep: bool):
-    """Fill ``block[row, :width]`` with the next normals of stream ``row``.
-
-    ``streams[row]`` is the row's Philox key before its first draw, and its
-    saved Philox state after it (see :func:`_rekeyed`).  With ``keep`` the
-    state after the draw replaces the entry, so the next chunk continues the
-    same stream.
-    """
-    for row, out in zip(_rekeyed(gen, streams), block[:, :width]):
-        gen.standard_normal(out=out)
-        if keep:
-            streams[row] = gen.bit_generator.state
-
-
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit words of the 128-bit products ``m x``, the high
     one by long multiplication of 32-bit halves (Warren, *Hacker's Delight*,
@@ -579,12 +536,12 @@ def _evolve_sde_batch(psi0, u, moments, exponents, n_steps, sample_steps, keys):
     modulus 1 and no exponent overflows; an amplitude that is zero stays
     zero.  Samples and final states are normalised.
 
-    Row ``r`` draws its Wiener increments from the Philox stream keyed by
-    ``keys[r]``, ``_NOISE_CHUNK`` steps at a time into one reused
-    (rows, chunk) block, by re-keying one Philox bit generator.  The draws
-    equal one ``standard_normal(n_steps)`` of ``Philox(key=keys[r])``, and
-    each row's arithmetic does not depend on the others or on their number,
-    so single runs and ensemble members agree bitwise.
+    Row ``r`` draws its Wiener increments from its own
+    ``Generator(Philox(key=keys[r]))``, ``_NOISE_CHUNK`` steps at a time into
+    one reused (rows, chunk) block.  The draws equal one
+    ``standard_normal(n_steps)`` of that generator, and each row's arithmetic
+    does not depend on the others or on their number, so single runs and
+    ensemble members agree bitwise.
     """
     batch = len(keys)
     if batch == 1:
@@ -616,8 +573,7 @@ def _evolve_sde_batch(psi0, u, moments, exponents, n_steps, sample_steps, keys):
     if next_sample == 0:
         states[:, 0] = psi0
         pos, next_sample = 1, next(due)
-    gen = np.random.Generator(np.random.Philox(0))
-    streams = list(map(int, keys))  # _draw_noise tells a key from a saved state by type
+    gens = [np.random.Generator(np.random.Philox(key=int(k))) for k in keys]
     block = np.empty((batch, min(_NOISE_CHUNK, n_steps)))
     # the loop is bound by call overhead for small batches: look the functions up once
     # (np.dot costs less per call than np.matmul, and rounds alike)
@@ -627,7 +583,8 @@ def _evolve_sde_batch(psi0, u, moments, exponents, n_steps, sample_steps, keys):
     with np.errstate(divide="ignore"):  # log(0) = -inf keeps a zero amplitude out of the max
         for start in range(0, n_steps, _NOISE_CHUNK):
             width = min(_NOISE_CHUNK, n_steps - start)
-            _draw_noise(gen, streams, block, width, keep=start + width < n_steps)
+            for gen, out in zip(gens, block[:, :width]):
+                gen.standard_normal(out=out)
             for step, noise in enumerate(block.T[:width], start + 1):  # step: steps done after it
                 square(planes, out=squares)
                 dot(moments, squares, out=moment)

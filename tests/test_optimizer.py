@@ -373,6 +373,19 @@ def test_table_validation_refuses_asymmetry_beyond_tolerance():
     assert optimizer.validate_table(near)[1] == (near[1, 0], 0.0, 4.0, 2.0)
 
 
+def test_table_asymmetry_is_held_to_the_documented_1e_9():
+    # literal offsets rather than multiples of TOLERANCE, so that loosening
+    # the constant fails here
+    for offset, accepted in ((2e-9, False), (0.5e-9, True)):
+        rows = [list(row) for row in optimizer.SWAP_ROWS]
+        rows[1][0] += offset
+        if accepted:
+            assert optimizer.validate_table(rows)[1][0] == rows[1][0]
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                optimizer.validate_table(rows)
+
+
 def _random_upper(rng, step):
     """Six entries in [0, 4]: multiples of ``step``, or uniform when it is None."""
     if step is None:

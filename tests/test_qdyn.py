@@ -250,6 +250,26 @@ def test_lindblad_refuses_unstable_step_before_integrating():
     assert len(states) == 3 and all(np.array_equal(s, rho0) for s in states)
 
 
+def test_lindblad_refuses_a_step_just_past_the_stability_edge():
+    # with a = (0, 1, 0, 0) and lam = 2 the fastest coherences decay at rate 1,
+    # so the RK4 step scales them by R(-dt); bisect for R(-dt) = 1 + 1e-6.  One
+    # step keeps the drift under the invariant guard, so only the spectral
+    # radius check can refuse it
+    def excess(dt):
+        z = -dt
+        return 1.0 + z + z * z / 2 + z**3 / 6 + z**4 / 24 - (1.0 + 1e-6)
+
+    lo, hi = 2.5, 3.0  # excess < 0 at lo, > 0 at hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) < 0 else (lo, mid)
+    dt = hi
+    assert abs(dt - 2.7853) < 1e-3
+    rho0 = _projector(np.ones(4, dtype=complex) / 2.0)
+    with pytest.raises(StepTooLarge, match="spectral radius"):
+        qdyn.lindblad_path(rho0, None, (0.0, 1.0, 0.0, 0.0), 2.0, dt, [0.0, dt])
+
+
 def test_lindblad_of_zero_steps_returns_the_initial_state_for_any_dt():
     # dt = 3 is far outside RK4's stability region, but t = 1 rounds to no step
     rho0 = _projector(np.ones(4, dtype=complex) / 2.0)
@@ -258,6 +278,12 @@ def test_lindblad_of_zero_steps_returns_the_initial_state_for_any_dt():
     assert np.array_equal(states[0], rho0)
     with pytest.raises(StepTooLarge, match="spectral radius"):
         qdyn.lindblad_path(rho0, None, A_REF, 1.0, 3.0, [2.0])
+    # a split-step run of no step likewise returns psi0, undecided from the uniform state
+    psi = np.ones(4, dtype=complex) / 2.0
+    rec = qdyn.sde_trajectory(psi, qdyn.swap_hamiltonian(), A_REF, 1.0, 3.0, 1.0, seed=1)
+    assert rec.times.tolist() == [0.0]
+    assert rec.states.tolist() == [psi.tolist()]
+    assert rec.outcome is None
 
 
 def test_lindblad_step_too_large_guard():
@@ -515,25 +541,26 @@ def test_ensemble_members_run_on_the_key_layout():
     assert type(rec.seed) is np.uint64
 
 
-def test_chunked_noise_equals_one_shot_philox_draws():
-    # the first chunk re-keys the generator from each key; later chunks resume
-    # the states it saved
-    keys = [0, 7, 2**64 - 1, 2**64, 2**128 - 1]
-    n = 2500
-    expected = np.stack([np.random.Generator(np.random.Philox(key=k)).standard_normal(n) for k in keys])
-    for widths in ((2500,), (1, 2499), (777, 1000, 1, 722), (1000, 1000, 500)):
-        gen = np.random.Generator(np.random.Philox(0))
-        streams = list(keys)
-        got = np.empty((len(keys), n))
-        block = np.empty((len(keys), max(widths)))
-        start = 0
-        for width in widths:
-            qdyn._draw_noise(gen, streams, block, width, keep=start + width < n)
-            got[:, start:start + width] = block[:, :width]
-            start += width
-        assert np.array_equal(got, expected)
-        # the last chunk saves no state, so one chunk leaves the keys in place
-        assert (streams == keys) == (len(widths) == 1)
+def test_chunked_noise_equals_one_shot_philox_draws(monkeypatch):
+    # a split-step run of 2500 steps is bitwise the same however its noise is
+    # chunked, and follows the reference, which draws all 2500 normals of
+    # Philox(key=key) at once
+    psi = np.ones(4, dtype=complex) / 2.0
+    h = qdyn.swap_hamiltonian()
+    sample_steps = list(range(0, 2501, 250))
+    sample_times = [s * 1e-3 for s in sample_steps]
+
+    def run(key):
+        return qdyn.sde_trajectory(psi, h, A_REF, 1.0, 1e-3, 2.5, seed=key, sample_times=sample_times).states
+
+    ref = {key: run(key) for key in (0, 7, 2**64 - 1, 2**64, 2**128 - 1)}
+    for key, states in ref.items():
+        want = _split_step_reference(psi, h, A_REF, 1.0, 1e-3, 2500, sample_steps, key)
+        assert np.allclose(states, want, rtol=0.0, atol=1e-12), key
+    for chunk in (1, 777, 1000, 2500):
+        monkeypatch.setattr(qdyn, "_NOISE_CHUNK", chunk)
+        for key, states in ref.items():
+            assert run(key).tobytes() == states.tobytes(), (key, chunk)
 
 
 def test_ensemble_independent_of_noise_chunk(monkeypatch):
@@ -953,10 +980,10 @@ def test_split_step_of_extreme_inputs_is_finite_and_normalised(state, a, lam, dt
 def test_split_step_refuses_overflowing_exponents_before_any_noise(
     a, lam, dt, scale, message, monkeypatch
 ):
-    def no_noise(*args):
+    def no_noise(*args, **kwargs):
         raise AssertionError("noise was drawn for a refused run")
 
-    monkeypatch.setattr(qdyn, "_draw_noise", no_noise)
+    monkeypatch.setattr(np.random, "Philox", no_noise)
     psi = _oracle_states()["uniform"]
     h = scale * qdyn.swap_hamiltonian()
     with warnings.catch_warnings():
@@ -1205,6 +1232,8 @@ def test_ensemble_average_grid_mismatch():
         qdyn.ensemble_average([r1, r2], at=0.2)
     with pytest.raises(GridMismatch):
         qdyn.ensemble_average([r1], at=0.123)
+    with pytest.raises(ValueError, match="need at least one trajectory"):
+        qdyn.ensemble_average([], at=0.0)
 
 
 def test_ensemble_average_takes_the_nearest_sample():
@@ -1260,6 +1289,14 @@ def test_validate_pure_state():
     with pytest.raises(ValueError):
         qdyn.validate_pure_state(np.array([1.0, 1.0, 0.0, 0.0]))
     qdyn.validate_pure_state(qdyn.basis_superposition(0, 2))
+    with pytest.raises(ValueError, match="exactly 4 amplitudes"):
+        qdyn.validate_pure_state([1.0, 0.0, 0.0])
+
+
+def test_pure_state_norm_is_held_to_1e_10():
+    # |psi| - 1 is 1e-8: far past 1e-10, inside 1e-7
+    with pytest.raises(ValueError, match="not normalized"):
+        qdyn.validate_pure_state([1.0 + 1e-8, 0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])

@@ -186,6 +186,17 @@ def test_entangled_states_are_rejected():
         qiit.quantum_big_phi(_proj(bell))
 
 
+def test_a_small_entangled_admixture_is_no_product_state():
+    # mixing 4e-8 of |Phi+> into a product state leaves a residual of 2.9e-8
+    # against the product of its marginals: far past 1e-10, inside 1e-6
+    qubit = _proj([0.6, 0.8])
+    bell = np.zeros(4, dtype=complex)
+    bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
+    eps = 4e-8
+    with pytest.raises(UnsupportedState):
+        qiit.quantum_big_phi((1.0 - eps) * np.kron(qubit, qubit) + eps * _proj(bell))
+
+
 def test_quantum_big_phi_is_min_over_directions_of_each_unit(rng):
     # under the swap rule a unit's cause and effect terms are both
     # QID(rho_unit || I/2), so their minimum is that one divergence

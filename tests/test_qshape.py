@@ -132,6 +132,8 @@ def test_validate_distribution_refuses_non_finite_entries(bad):
 def test_build_qshape_rejects_uncoupled_rules():
     with pytest.raises(NotCrossCoupled):
         qshape.build_qshape(model.identity_tpm(), DyadState(0, 0))
+    with pytest.raises(NotCrossCoupled):
+        qshape.build_qshape_iit4(model.identity_tpm(), DyadState(0, 0))
 
 
 def test_iit4_style_shapes():
